@@ -16,6 +16,15 @@ minimizers); the split comes from one rank-revealing SVD of the constraint's
 control Jacobian, which also supplies the pseudo-inverse and the residual
 projector.
 
+Stages with no control direction spent on pending rows (rank ``p = 0``,
+which is every stage once the endpoint rows are absorbed, so the bulk of a
+long sweep) run the stage kernel of the serial sweep: one direct LAPACK
+``dposv`` factor-and-solve of the control Hessian against the right-hand
+side ``[Mux | Mzu' | mu1]`` (:func:`parlqr.serial.stage_gains`), followed
+by the shared cost-to-go update (:func:`parlqr.serial.value_update`).  The
+other stages factor the null-space Hessian ``Zw' Muu Zw`` with the same
+call.
+
 Multipliers are recovered afterwards from the stationarity conditions,
 stacked as an overdetermined linear system in the multipliers whose normal
 equations have a block-tridiagonal Gram matrix: one factorization with a
@@ -30,7 +39,7 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from .errors import CholeskyFailure, FactorizationFailure, Infeasible
+from .errors import FactorizationFailure, Infeasible
 from .problem import (
     DEFAULT_TOLERANCES,
     AffinePolicy,
@@ -39,6 +48,7 @@ from .problem import (
     evaluate_objective,
     kkt_residual,
 )
+from .serial import stage_gains, value_update
 
 __all__ = [
     "ValueFunction",
@@ -173,7 +183,8 @@ def backward_pass(stages, terminal=None, *, terminal_constrained=True,
     terminal cost).  With ``terminal_constrained=False`` no endpoint rows
     are seeded and the sweep reduces to the plain Riccati recursion.
     Raises :class:`CholeskyFailure` when the cost Hessian restricted to the
-    constraint null space is not positive-definite.
+    constraint null space is not positive-definite; at rank ``p = 0`` that
+    is the whole control Hessian, factored by the serial stage kernel.
     """
     T = len(stages)
     n = stages[0][0].n
@@ -199,22 +210,21 @@ def backward_pass(stages, terminal=None, *, terminal_constrained=True,
     constraints[T] = ConstraintToGo(Hx, Hz, h1)
     diag = StageDiagnostics(max_rows=Hx.shape[0]) if collect_diagnostics else None
     eye_m = np.eye(m)
+    rhs = np.empty((m, 2 * n + 1))  # [Mux | Mzu' | mu1], refilled every stage
 
     for t in range(T - 1, -1, -1):
         cost, dyn = stages[t]
         Fx, Fu, f1 = dyn.Fx, dyn.Fu, dyn.f1
-        VFx = Vxx @ Fx
-        VFu = Vxx @ Fu
-        w = vx1 + Vxx @ f1
-        Mxx = cost.Qxx + Fx.T @ VFx
-        Muu = cost.Quu + Fu.T @ VFu
-        Mux = cost.Qux + Fu.T @ VFx
-        Mzx = Vzx @ Fx
-        Mzu = Vzx @ Fu
-        Mzz = Vzz
-        mx1 = cost.qx1 + Fx.T @ w
-        mu1 = cost.qu1 + Fu.T @ w
+        F = np.concatenate((Fx, Fu), axis=1)
+        H = F.T @ (Vxx @ F)
+        Vf1 = Vxx @ f1
+        g = F.T @ (vx1 + Vf1)
+        MzF = Vzx @ F
         mz1 = vz1 + Vzx @ f1
+        np.add(cost.Qux, H[n:, :n], out=rhs[:, :n])
+        rhs[:, n:2 * n] = MzF[:, n:].T
+        np.add(cost.qu1, g[n:], out=rhs[:, 2 * n])
+        Muu = cost.Quu + H[n:, n:]
 
         r = Hx.shape[0]
         p = 0
@@ -231,29 +241,22 @@ def backward_pass(stages, terminal=None, *, terminal_constrained=True,
                 p = int(np.sum(s > rank_tol * max(nu_scale, s[0])))
 
         # gains stacked as [Kx | Kz | k1], an m x (2n+1) block
-        if p:
+        if not p:
+            # no control direction is spent on pending rows: the plain kernel
+            gains = stage_gains(Muu, rhs, t)
+        else:
             G = (Vt[:p].T / s[:p]) @ U[:, :p].T
             base = G @ np.concatenate([Nx, Nz, n1[:, None]], axis=1)
-        else:
-            base = np.zeros((m, 2 * n + 1))
-        if p < m:
-            Zw = Vt[p:].T if p else eye_m
-            W = Zw.T @ Muu @ Zw
-            try:
-                Lw = np.linalg.cholesky(W)
-            except np.linalg.LinAlgError as exc:
-                raise CholeskyFailure(t) from exc
-            C = np.concatenate([Mux, Mzu.T, mu1[:, None]], axis=1)
-            if p:
-                C = C - Muu @ base
-            gains = -(base + Zw @ scipy.linalg.cho_solve(
-                (Lw, True), Zw.T @ C, check_finite=False))
-        else:
-            gains = -base
-        Kx = gains[:, :n]
+            if p < m:
+                Zw = Vt[p:].T
+                gains = Zw @ stage_gains(
+                    Zw.T @ Muu @ Zw, Zw.T @ (rhs - Muu @ base), t) - base
+            else:
+                gains = -base
+            gains.setflags(write=False)
         Kz = gains[:, n:2 * n]
-        k1 = gains[:, 2 * n]
-        policies[t] = AffinePolicy(Kx, Kz, k1)
+        policies[t] = AffinePolicy._from_gains(
+            gains[:, :n], Kz, gains[:, 2 * n], bool(Kz.any()))
 
         if collect_diagnostics:
             if p:
@@ -280,18 +283,14 @@ def backward_pass(stages, terminal=None, *, terminal_constrained=True,
                 Hx, Hz, h1 = Nx, Nz, n1
             Hx, Hz, h1 = _compress_rows(Hx, Hz, h1, rank_tol, pre_scale, cert_scale)
 
-        const = const + 0.5 * f1 @ (Vxx @ f1) + vx1 @ f1 \
-            + 0.5 * k1 @ (Muu @ k1) + mu1 @ k1
-        MuuKx = Muu @ Kx
-        MuuKz = Muu @ Kz
-        MuxTKx = Mux.T @ Kx
-        Vxx = Mxx + MuxTKx + MuxTKx.T + Kx.T @ MuuKx
+        A = value_update(Muu, rhs, gains)
+        const = const + f1 @ (vx1 + 0.5 * Vf1) + 0.5 * A[2 * n, 2 * n]
+        Vxx = cost.Qxx + H[:n, :n] + A[:n, :n]
         Vxx = 0.5 * (Vxx + Vxx.T)
-        Vzx = Mzx + Mzu @ Kx + Kz.T @ Mux + Kz.T @ MuuKx
-        Vzz = Mzz + Mzu @ Kz + (Mzu @ Kz).T + Kz.T @ MuuKz
-        Vzz = 0.5 * (Vzz + Vzz.T)
-        vx1 = mx1 + Kx.T @ mu1 + (Mux.T + Kx.T @ Muu) @ k1
-        vz1 = mz1 + Mzu @ k1 + Kz.T @ mu1 + Kz.T @ (Muu @ k1)
+        Vzx = MzF[:, :n] + A[n:2 * n, :n]
+        Vzz = Vzz + A[n:2 * n, n:2 * n]  # both terms exactly symmetric
+        vx1 = cost.qx1 + g[:n] + A[:n, 2 * n]
+        vz1 = mz1 + A[n:2 * n, 2 * n]
 
         values[t] = ValueFunction(Vxx, Vzx, Vzz, vx1, vz1, const)
         constraints[t] = ConstraintToGo(Hx, Hz, h1)

@@ -1,4 +1,10 @@
-"""Exception types shared by the solvers."""
+"""Exception types shared by the solvers.
+
+Every type survives pickling with its attributes and message intact, so an
+error raised in a worker process reaches the caller unchanged.  Types with
+their own constructor rebuild from it in ``__reduce__``: the default would
+pass the formatted message as the first constructor argument.
+"""
 
 
 class SolverError(Exception):
@@ -12,6 +18,9 @@ class CholeskyFailure(SolverError):
         self.stage = stage
         super().__init__(message or f"Cholesky failed at stage {stage}")
 
+    def __reduce__(self):
+        return type(self), (self.stage, str(self))
+
 
 class FactorizationFailure(SolverError):
     """A pivot block of the multiplier normal equations was singular.
@@ -24,6 +33,13 @@ class FactorizationFailure(SolverError):
     def __init__(self, block, message=None):
         self.block = block
         super().__init__(message or f"singular pivot block {block} in normal equations")
+
+    def __reduce__(self):
+        return type(self), (self.block, str(self))
+
+
+class WorkerConfigError(SolverError):
+    """The worker count named by the environment is not an integer."""
 
 
 class LinkSingular(SolverError):
@@ -49,3 +65,6 @@ class Infeasible(SolverError):
             where = "" if segment is None else f" in segment {segment}"
             message = f"endpoint constraints unsatisfiable{where} (residual {residual:.3e})"
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.residual, self.segment, str(self))

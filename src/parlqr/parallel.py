@@ -40,7 +40,13 @@ import numpy as np
 
 from . import endpoint as ep
 from . import serial
-from .errors import FactorizationFailure, Infeasible, LinkSingular
+from .errors import (
+    CholeskyFailure,
+    FactorizationFailure,
+    Infeasible,
+    LinkSingular,
+    WorkerConfigError,
+)
 from .problem import (
     DEFAULT_TOLERANCES,
     AffinePolicy,
@@ -95,10 +101,18 @@ def make_partition(T, J):
 
 
 def default_workers(J):
-    """Worker-count default: min(J, cores), overridable via environment."""
+    """Worker-count default: min(J, cores), overridable via environment.
+
+    Raises :class:`WorkerConfigError` when the environment variable is set
+    to something other than an integer.
+    """
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise WorkerConfigError(
+                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     return max(1, min(J, os.cpu_count() or 1))
 
 
@@ -189,8 +203,8 @@ atexit.register(shutdown_pools)
 
 
 def _copy_payload(payload):
-    kind, arrays, terminal, tolerances, collect = payload
-    return kind, {f: a.copy() for f, a in arrays.items()}, terminal, \
+    kind, lo, arrays, terminal, tolerances, collect = payload
+    return kind, lo, {f: a.copy() for f, a in arrays.items()}, terminal, \
         tolerances, collect
 
 
@@ -204,7 +218,13 @@ def _run_tasks(payloads, workers):
         pool = _get_pool(workers)
     except ValueError:  # platform without fork
         return [_solve_segment_task(_copy_payload(p)) for p in payloads]
-    return list(pool.map(_solve_segment_task, payloads))
+    # Batch segments only when they far outnumber the workers: each pool
+    # task costs a round trip, which dominates tiny segments (J=T), while a
+    # chunk must be pickled whole before its worker starts, which would
+    # serialize the transport of large segments.  Few segments keep one
+    # task each.
+    chunksize = max(1, len(payloads) // (4 * workers))
+    return list(pool.map(_solve_segment_task, payloads, chunksize=chunksize))
 
 
 def _solve_segment_task(payload):
@@ -215,8 +235,16 @@ def _solve_segment_task(payload):
     are re-derived in the parent by rolling the policies out, which keeps
     the inter-process result payload small.
     """
-    kind, arrays, terminal, tolerances, collect = payload
-    stages = _stages_from_arrays(arrays)
+    kind, lo, arrays, terminal, tolerances, collect = payload
+    try:
+        return _solve_segment(kind, _stages_from_arrays(arrays), terminal,
+                              tolerances, collect)
+    except CholeskyFailure as exc:
+        # report the stage on the global horizon, not within the segment
+        raise CholeskyFailure(lo + exc.stage) from exc
+
+
+def _solve_segment(kind, stages, terminal, tolerances, collect):
     if kind == "serial":
         policies, values = serial.backward_pass(stages, terminal)
         return {
@@ -387,6 +415,16 @@ def _solve_links_with_feasibility(segments, partition, x_init):
 # ---------------------------------------------------------------------------
 # solve and reconstruct
 
+def _feedback_policies(Kx, k1):
+    """State-feedback policies viewing stacked gains, which become read-only."""
+    Kx.setflags(write=False)
+    k1.setflags(write=False)
+    zero_kz = np.zeros(Kx.shape[1:])
+    zero_kz.setflags(write=False)
+    return [AffinePolicy._from_gains(Kx[s], zero_kz, k1[s])
+            for s in range(len(Kx))]
+
+
 @dataclasses.dataclass(eq=False, repr=False)
 class ParallelDetails:
     """Diagnostics attached to a partitioned solve."""
@@ -412,10 +450,11 @@ def _segment_payloads(problem, partition, tolerances, collect):
         lo, hi = partition.segment(j)
         arrays = _slice_stages(stacked, lo, hi)
         if j == partition.J - 1:
-            payloads.append(("serial", arrays, problem.terminal, tolerances,
-                             collect))
+            payloads.append(("serial", lo, arrays, problem.terminal,
+                             tolerances, collect))
         else:
-            payloads.append(("endpoint", arrays, None, tolerances, collect))
+            payloads.append(("endpoint", lo, arrays, None, tolerances,
+                             collect))
     return payloads
 
 
@@ -500,8 +539,7 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
             us[s] = Kx[s] @ xs[s] + folded[s]
             dyn = problem.stages[lo + s][1]
             xs[s + 1] = dyn.Fx @ xs[s] + dyn.Fu @ us[s] + dyn.f1
-        for s in range(hi - lo):
-            policies[lo + s] = AffinePolicy.state_feedback(Kx[s], folded[s])
+        policies[lo:hi] = _feedback_policies(Kx, folded)
         if seg["kind"] == "serial":
             lam = -(problem.terminal.Qxx @ xs[-1] + problem.terminal.qx1)
             lambdas[T] = lam
@@ -607,16 +645,13 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
         else:
             Vxx, Vzx, _, vx1, _ = vf
             terminal = TerminalCost(Vxx, vx1 + Vzx.T @ links[j + 1])
-        payloads.append(("serial", _slice_stages(stacked, lo, hi), terminal,
-                         tolerances, False))
+        payloads.append(("serial", lo, _slice_stages(stacked, lo, hi),
+                         terminal, tolerances, False))
     repassed = _run_tasks(payloads, workers)
     policies = list(result.policies)
     for j in range(J - 1):
         lo, hi = partition.segment(j)
-        seg = repassed[j]
-        policies[lo:hi] = [
-            AffinePolicy.state_feedback(seg["Kx"][s], seg["k1"][s])
-            for s in range(hi - lo)]
+        policies[lo:hi] = _feedback_policies(repassed[j]["Kx"], repassed[j]["k1"])
     states, controls = _rollout_policies(problem, tuple(policies))
     deviation = max(float(np.abs(states - result.states).max()),
                     float(np.abs(controls - result.controls).max()))

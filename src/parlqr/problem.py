@@ -250,6 +250,22 @@ class AffinePolicy:
         Kx = np.asarray(Kx, dtype=float)
         return cls(Kx, np.zeros_like(Kx), k1)
 
+    @classmethod
+    def _from_gains(cls, Kx, Kz, k1, uses_terminal=False):
+        """Solver-built policy: takes read-only gain views as they are.
+
+        Skips the copies and checks of the public constructor, which at
+        small dimensions cost a sizeable share of a sweep stage.  ``Kz`` may
+        be one read-only zero block shared by many policies; ``uses_terminal``
+        must be true exactly when ``Kz`` has a nonzero entry.
+        """
+        policy = object.__new__(cls)
+        object.__setattr__(policy, "Kx", Kx)
+        object.__setattr__(policy, "Kz", Kz)
+        object.__setattr__(policy, "k1", k1)
+        object.__setattr__(policy, "_uses_terminal", uses_terminal)
+        return policy
+
     def __call__(self, x, x_term=None):
         u = self.Kx @ x + self.k1
         if self._uses_terminal:

@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,31 @@ def tolerance_scale(problem):
 
 def max_deviation(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+def interleaved_min_of(fns, repeats):
+    """Best-of-``repeats`` wall time of each function, called in turn.
+
+    Every repeat calls each function once, so a drift of the host's speed
+    during the measurement reaches all of them alike.  Results are dropped
+    at once, so no more than one is alive at a time.
+    """
+    best = [math.inf] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            tic = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - tic)
+    return best
+
+
+def with_control_cost(problem, t, quu):
+    """Copy of the problem whose stage ``t`` has ``Quu = quu I`` and ``Qux = 0``."""
+    stages = list(problem.stages)
+    cost, dyn = stages[t]
+    stages[t] = (StageCost(cost.Qxx, np.zeros_like(cost.Qux),
+                           quu * np.eye(problem.m), cost.qx1, cost.qu1), dyn)
+    return LqrProblem(stages, problem.terminal, problem.x_init)
 
 
 def drop_controls(problem):

@@ -19,7 +19,12 @@ from parlqr.errors import Infeasible
 from parlqr.generate import generate
 from parlqr.problem import data_magnitude
 
-from conftest import drop_controls, free_evolution, max_deviation
+from conftest import (
+    drop_controls,
+    free_evolution,
+    interleaved_min_of,
+    max_deviation,
+)
 
 N_INSTANCES = 200
 ORACLE_TOL = 1e-8
@@ -162,11 +167,11 @@ def test_criterion_5_numerical_invariants(runs):
 def test_criterion_6_scaling():
     n, m = 40, 10
     horizons = [256, 512, 1024, 2048, 4096]
-    serial_times = {}
-    for T in horizons:
-        problem = generate(n, m, T, seed=50_000 + T)
-        secs, _ = bench.time_min_of(lambda: serial.solve(problem), repeats=3)
-        serial_times[T] = secs
+    problems = [generate(n, m, T, seed=50_000 + T) for T in horizons]
+    secs = interleaved_min_of(
+        [lambda p=p: serial.solve(p) for p in problems], repeats=3)
+    serial_times = dict(zip(horizons, secs))
+    del problems
     slope = np.polyfit(np.log(horizons),
                        np.log([serial_times[T] for T in horizons]), 1)[0]
     assert 0.8 <= slope <= 1.2, f"serial log-log slope {slope:.3f}"
@@ -178,10 +183,11 @@ def test_criterion_6_scaling():
 
     cores = os.cpu_count() or 1
     problem = generate(n, m, 2048, seed=50_000 + 2048)
-    serial_secs, ref = bench.time_min_of(lambda: serial.solve(problem),
-                                         repeats=10)
-    parallel_secs, sol = bench.time_min_of(
-        lambda: parallel.solve_parallel(problem, J=8, workers=8), repeats=10)
+    serial_secs, parallel_secs = interleaved_min_of(
+        [lambda: serial.solve(problem),
+         lambda: parallel.solve_parallel(problem, J=8, workers=8)], repeats=10)
+    ref = serial.solve(problem)
+    sol = parallel.solve_parallel(problem, J=8, workers=8)
     assert max_deviation(sol.states, ref.states) <= 1e-8 * (
         1.0 + data_magnitude(problem))
     ratio = parallel_secs / serial_secs

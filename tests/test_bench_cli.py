@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from parlqr import bench, cli, demo, fileio, parallel, serial
-from parlqr.errors import Infeasible
+from parlqr.errors import Infeasible, SolverError, WorkerConfigError
 from parlqr.generate import generate
 
-from conftest import max_deviation, tolerance_scale
+from conftest import interleaved_min_of, max_deviation, tolerance_scale
 
 
 def problems_equal_bitwise(a, b):
@@ -103,6 +103,15 @@ class TestSolveCommand:
         code = cli.main(["solve", "--problem", str(src), "--solver", "parallel",
                          "--out", str(tmp_path / "o.json")])
         assert code == 2
+
+    def test_non_integer_worker_env_exits_three(self, tmp_path, monkeypatch,
+                                                capsys):
+        src = self._problem_file(tmp_path)
+        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "abc")
+        code = cli.main(["solve", "--problem", str(src), "--solver", "parallel",
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        assert parallel.WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_parallel_and_serial_objectives_agree(self, tmp_path):
         src = self._problem_file(tmp_path, seed=9)
@@ -227,9 +236,9 @@ def test_single_segment_dispatch_overhead_negligible():
     # J=1 delegates to the serial sweep, so its timing may differ from the
     # serial row only by call overhead
     problem = generate(40, 10, 1024, seed=0)
-    serial_secs, _ = bench.time_min_of(lambda: serial.solve(problem), repeats=10)
-    parallel_secs, _ = bench.time_min_of(
-        lambda: parallel.solve_parallel(problem, J=1, workers=1), repeats=10)
+    serial_secs, parallel_secs = interleaved_min_of(
+        [lambda: serial.solve(problem),
+         lambda: parallel.solve_parallel(problem, J=1, workers=1)], repeats=10)
     assert parallel_secs <= 1.10 * serial_secs
 
 
@@ -237,6 +246,13 @@ class TestWorkerDefaults:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "3")
         assert parallel.default_workers(8) == 3
+
+    def test_non_integer_env_is_a_solver_error(self, monkeypatch):
+        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "abc")
+        with pytest.raises(WorkerConfigError) as info:
+            parallel.default_workers(8)
+        assert isinstance(info.value, SolverError)
+        assert "'abc'" in str(info.value)
 
     def test_default_capped_by_cores_and_segments(self, monkeypatch):
         monkeypatch.delenv(parallel.WORKERS_ENV_VAR, raising=False)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parlqr import endpoint, kkt, serial
-from parlqr.errors import FactorizationFailure, Infeasible
+from parlqr.errors import CholeskyFailure, FactorizationFailure, Infeasible
 from parlqr.generate import generate
 from parlqr.problem import AffinePolicy, rollout
 
@@ -12,6 +12,7 @@ from conftest import (
     interpolation_problem,
     max_deviation,
     tolerance_scale,
+    with_control_cost,
 )
 
 
@@ -62,6 +63,17 @@ class TestBackwardPass:
                 np.testing.assert_allclose(pe.k1, ps.k1, atol=1e-12)
             for ve, vs in zip(bw.values, values):
                 np.testing.assert_allclose(ve.Vxx, vs.Vxx, atol=1e-12)
+
+    def test_indefinite_stage_without_pending_rows_fails_loudly(self):
+        problem = generate(2, 1, 10, seed=21)
+        t = 3
+        # no endpoint row is pending after stage t, so it takes the plain kernel
+        bw = endpoint.backward_pass(problem.stages, problem.terminal)
+        assert bw.constraints[t + 1].rows == 0
+        broken = with_control_cost(problem, t, -1e3)
+        with pytest.raises(CholeskyFailure) as info:
+            endpoint.backward_pass(broken.stages, broken.terminal)
+        assert info.value.stage == t
 
     def test_row_counts_monotone_and_bounded(self, small_random_problems):
         for problem in small_random_problems:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,20 @@ from hypothesis import strategies as st
 from parlqr import parallel, serial
 from parlqr.generate import generate
 from parlqr.parallel import Partition, make_partition
-from parlqr.problem import StageDynamics, LqrProblem, kkt_residual
+from parlqr.errors import (
+    CholeskyFailure,
+    FactorizationFailure,
+    Infeasible,
+    LinkSingular,
+)
+from parlqr.problem import LqrProblem, StageDynamics, kkt_residual
 
-from conftest import max_deviation, scalar_problem, tolerance_scale
+from conftest import (
+    max_deviation,
+    scalar_problem,
+    tolerance_scale,
+    with_control_cost,
+)
 
 
 class TestPartition:
@@ -172,13 +185,46 @@ class TestLinkDiagnostics:
 
     def test_worker_count_does_not_change_results_materially(self):
         # sub-solves are bit-reproducible across transports; the assembled
-        # trajectory may differ by allocator-dependent BLAS rounding only
+        # trajectory may differ by allocator-dependent BLAS rounding only.
+        # J=T sends the unit segments to the pool in chunks.
         problem = generate(5, 2, 24, seed=15)
-        a = parallel.solve_parallel(problem, J=4, workers=1)
-        b = parallel.solve_parallel(problem, J=4, workers=2)
-        assert np.array_equal(a.details.link_points, b.details.link_points)
-        assert np.abs(a.states - b.states).max() <= 1e-12
-        assert np.abs(a.lambdas - b.lambdas).max() <= 1e-12
+        for J in (4, problem.T):
+            a = parallel.solve_parallel(problem, J=J, workers=1)
+            b = parallel.solve_parallel(problem, J=J, workers=2)
+            assert np.array_equal(a.details.link_points, b.details.link_points)
+            assert np.abs(a.states - b.states).max() <= 1e-12
+            assert np.abs(a.lambdas - b.lambdas).max() <= 1e-12
+
+
+class TestSegmentFailures:
+    @pytest.mark.parametrize("exc", [
+        CholeskyFailure(3), FactorizationFailure(2), FactorizationFailure(None, "why"),
+        Infeasible(0.5, segment=1), LinkSingular("singular")])
+    def test_errors_survive_pickling(self, exc):
+        # worker processes hand their exceptions back pickled
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cholesky_failure_reports_global_stage(self, workers):
+        broken = with_control_cost(generate(2, 1, 16, seed=3), 13, -1.0)
+        with pytest.raises(CholeskyFailure) as info:
+            parallel.solve_parallel(broken, J=4, workers=workers)
+        assert info.value.stage == 13
+        assert str(info.value) == "Cholesky failed at stage 13"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_smoothing_failure_reports_global_stage(self, workers):
+        problem = generate(2, 1, 16, seed=3)
+        psol = parallel.solve_parallel(problem, J=4, workers=workers)
+        # the smoothing sweeps read the stage data of the problem passed in
+        with pytest.raises(CholeskyFailure) as info:
+            parallel.smooth(with_control_cost(problem, 6, -1e3), psol,
+                            workers=workers)
+        assert info.value.stage == 6
+        assert str(info.value) == "Cholesky failed at stage 6"
 
 
 class TestSmooth:

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,12 @@ from parlqr.problem import (
     kkt_residual,
 )
 
-from conftest import max_deviation, scalar_problem, tolerance_scale
+from conftest import (
+    interleaved_min_of,
+    max_deviation,
+    scalar_problem,
+    tolerance_scale,
+)
 
 
 def test_one_step_scalar_backward_pass():
@@ -121,14 +124,8 @@ def test_deterministic_solutions():
 @pytest.mark.slow
 def test_runtime_scales_linearly_in_horizon():
     horizons = [256, 512, 1024, 2048, 4096]
-    times = []
-    for T in horizons:
-        problem = generate(8, 3, T, seed=1)
-        best = np.inf
-        for _ in range(3):
-            tic = time.perf_counter()
-            serial.solve(problem)
-            best = min(best, time.perf_counter() - tic)
-        times.append(best)
+    problems = [generate(8, 3, T, seed=1) for T in horizons]
+    times = interleaved_min_of(
+        [lambda p=p: serial.solve(p) for p in problems], repeats=3)
     slope = np.polyfit(np.log(horizons), np.log(times), 1)[0]
     assert 0.8 <= slope <= 1.2, f"log-log slope {slope:.3f} not near linear"
