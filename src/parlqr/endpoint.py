@@ -25,11 +25,14 @@ by the shared cost-to-go update (:func:`parlqr.serial.value_update`).  The
 other stages factor the null-space Hessian ``Zw' Muu Zw`` with the same
 call.
 
-Multipliers are recovered afterwards from the stationarity conditions,
-stacked as an overdetermined linear system in the multipliers whose normal
-equations have a block-tridiagonal Gram matrix: one factorization with a
-``2n+1``-column right-hand side yields all multipliers as affine functions
-of the two endpoints.
+Multipliers are by-products of the sweep, as in the serial solver: minus
+the cost-to-go gradient.  Wherever no endpoint row is pending, ``lam_t`` is
+minus the state gradient of the cost-to-go along the trajectory maps, and
+the endpoint multiplier ``mu`` is minus the endpoint gradient of the
+initial cost-to-go.  Only the times where rows are still pending (the
+last ``ceil(n/m)``, or all of them when the boundary constraints are
+linearly dependent) take the stationarity recursion backwards from
+``lam_T``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FactorizationFailure, Infeasible
 from .problem import (
@@ -55,12 +57,10 @@ __all__ = [
     "ConstraintToGo",
     "BackwardResult",
     "TrajectoryMaps",
-    "NormalEquations",
     "MultiplierMaps",
     "EndpointAffineSolution",
     "backward_pass",
     "forward_pass",
-    "assemble_normal_equations",
     "multiplier_pass",
     "solve_endpoint_affine",
     "solve_endpoint",
@@ -349,95 +349,6 @@ def forward_pass(policies, stages):
 
 
 @dataclasses.dataclass(frozen=True, eq=False, repr=False)
-class NormalEquations:
-    """Gram system of the stacked stationarity conditions.
-
-    Block-tridiagonal, symmetric positive-definite when the problem's
-    constraints are linearly independent.  Unknown blocks are
-    ``lam_0 .. lam_T, mu_T``; ``diag`` holds the diagonal blocks
-    (identity, then ``I + Fx Fx' + Fu Fu'`` per stage, then identity),
-    ``sub`` the subdiagonal blocks, and ``rhs`` the right-hand side with
-    one column per ``x_init`` component, one per ``x_term`` component and a
-    final constant column.
-    """
-
-    diag: np.ndarray
-    sub: np.ndarray
-    rhs: np.ndarray
-
-
-def assemble_normal_equations(stages, terminal, maps):
-    """Form the multiplier normal equations with an affine right-hand side."""
-    T = len(stages)
-    n = stages[0][0].n
-    if terminal is None:
-        terminal = TerminalCost.zero(n)
-    width = 2 * n + 1
-    eye_n = np.eye(n)
-
-    # stationarity right-hand rows, affine in (x_init, x_term):
-    # bx[t] = -(Qxx x_t + Qux'u_t + qx1), bu[t] = -(Qux x_t + Quu u_t + qu1)
-    X = np.concatenate(
-        [maps.Ra, maps.Rz, maps.r1[:, :, None]], axis=2)       # (T+1, n, width)
-    Uc = np.concatenate(
-        [maps.Sa, maps.Sz, maps.s1[:, :, None]], axis=2)       # (T, m, width)
-    bx = np.empty((T + 1, n, width))
-    bu = np.empty((T, stages[0][0].m, width))
-    for t, (cost, _) in enumerate(stages):
-        bx[t] = -(cost.Qxx @ X[t] + cost.Qux.T @ Uc[t])
-        bx[t, :, -1] -= cost.qx1
-        bu[t] = -(cost.Qux @ X[t] + cost.Quu @ Uc[t])
-        bu[t, :, -1] -= cost.qu1
-    bx[T] = -(terminal.Qxx @ X[T])
-    bx[T, :, -1] -= terminal.qx1
-
-    diag = np.empty((T + 2, n, n))
-    sub = np.empty((T + 1, n, n))
-    rhs = np.empty((T + 2, n, width))
-    diag[0] = eye_n
-    diag[T + 1] = eye_n
-    rhs[0] = bx[0]
-    for t, (_, dyn) in enumerate(stages):
-        diag[t + 1] = eye_n + dyn.Fx @ dyn.Fx.T + dyn.Fu @ dyn.Fu.T
-        sub[t] = -dyn.Fx
-        rhs[t + 1] = -dyn.Fx @ bx[t] - dyn.Fu @ bu[t] + bx[t + 1]
-    sub[T] = eye_n
-    rhs[T + 1] = bx[T]
-    return NormalEquations(diag, sub, rhs)
-
-
-def solve_block_tridiagonal(diag, sub, rhs):
-    """Solve a symmetric positive-definite block-tridiagonal system.
-
-    ``sub[i]`` couples block row ``i+1`` to block row ``i``; the
-    superdiagonal is its transpose.  Block Cholesky elimination without
-    pivoting across blocks; raises :class:`FactorizationFailure` when a
-    pivot block is not positive-definite.
-    """
-    K = len(diag)
-    X = [None] * K
-    d = [None] * K
-    P = diag[0]
-    for i in range(K):
-        if i:
-            P = diag[i] - sub[i - 1] @ X[i - 1]
-        try:
-            L = np.linalg.cholesky(P)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationFailure(i) from exc
-        factor = (L, True)
-        g = rhs[i] if not i else rhs[i] - sub[i - 1] @ d[i - 1]
-        d[i] = scipy.linalg.cho_solve(factor, g, check_finite=False)
-        if i < K - 1:
-            X[i] = scipy.linalg.cho_solve(factor, sub[i].T, check_finite=False)
-    out = [None] * K
-    out[K - 1] = d[K - 1]
-    for i in range(K - 2, -1, -1):
-        out[i] = d[i] - X[i] @ out[i + 1]
-    return np.array(out)
-
-
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
 class MultiplierMaps:
     """All multipliers as affine maps of ``(x_init, x_term)``.
 
@@ -458,32 +369,63 @@ class MultiplierMaps:
         return self.Ea @ x_init + self.Ez @ x_term + self.e1
 
 
-def multiplier_pass(stages, terminal, maps):
-    """Recover every multiplier from the stationarity normal equations.
+def _multiplier_maps(stages, terminal, bw, maps):
+    """Multiplier maps from the values of the sweep ``bw`` that made ``maps``.
 
-    Raises :class:`FactorizationFailure` when the boundary and dynamics
-    constraints are linearly dependent (the multipliers are then not
-    unique and the Gram matrix is singular).
+    Before the first time with pending endpoint rows the cost-to-go is the
+    constrained one, so ``lam_t = -(Vxx_t x_t + Vzx_t' x_term + vx1_t)``
+    holds pointwise; ``mu = -(Vzx_0 x_init + Vzz_0 x_term + vz1_0)``.  Row
+    counts never fall as ``t`` grows, so the pending stages form one tail,
+    which takes ``lam_T`` from the terminal cost and ``mu`` and then the
+    stationarity recursion backwards.
     """
+    T = len(stages)
     n = stages[0][0].n
-    eqs = assemble_normal_equations(stages, terminal, maps)
-    sol = solve_block_tridiagonal(eqs.diag, eqs.sub, eqs.rhs)
-    lam = sol[:-1]
-    mu = sol[-1]
+    if terminal is None:
+        terminal = TerminalCost.zero(n)
+    tail = next(t for t, c in enumerate(bw.constraints) if c.rows)
+    # states and controls as [x_init | x_term | 1] column blocks
+    X = np.concatenate([maps.Ra, maps.Rz, maps.r1[:, :, None]], axis=2)
+    lam = np.empty_like(X)
+    if tail:
+        values = bw.values[:tail]
+        lam[:tail] = -(np.stack([v.Vxx for v in values]) @ X[:tail])
+        lam[:tail, :, n:2 * n] -= np.stack([v.Vzx.T for v in values])
+        lam[:tail, :, 2 * n] -= np.stack([v.vx1 for v in values])
+    v0 = bw.values[0]
+    mu = -np.concatenate([v0.Vzx, v0.Vzz, v0.vz1[:, None]], axis=1)
+    lam[T] = -(terminal.Qxx @ X[T]) - mu
+    lam[T, :, 2 * n] -= terminal.qx1
+    for t in range(T - 1, tail - 1, -1):
+        cost, dyn = stages[t]
+        U = np.concatenate([maps.Sa[t], maps.Sz[t], maps.s1[t, :, None]], axis=1)
+        lam[t] = dyn.Fx.T @ lam[t + 1] - cost.Qxx @ X[t] - cost.Qux.T @ U
+        lam[t, :, 2 * n] -= cost.qx1
     return MultiplierMaps(
         La=lam[:, :, :n], Lz=lam[:, :, n:2 * n], l1=lam[:, :, 2 * n],
         Ea=mu[:, :n], Ez=mu[:, n:2 * n], e1=mu[:, 2 * n])
+
+
+def multiplier_pass(stages, terminal, maps):
+    """Multiplier maps for the trajectory maps of the endpoint sweep.
+
+    Sweeps :func:`backward_pass` over ``stages`` for the values the maps
+    came from.  :func:`solve_endpoint_affine` reuses the sweep it has.
+    """
+    return _multiplier_maps(stages, terminal, backward_pass(stages, terminal), maps)
 
 
 @dataclasses.dataclass(frozen=True, eq=False, repr=False)
 class EndpointAffineSolution:
     """Solution of the endpoint-constrained problem in symbolic form.
 
-    ``multipliers`` is None when the multiplier Gram system was singular
-    (linearly dependent constraints); :meth:`evaluate` then falls back to
-    value-function gradients plus a backward stationarity recursion, which
-    selects the multiplier representative consistent with the relaxed
-    value function.
+    Policies, trajectory maps and multiplier maps are all affine in
+    ``(x_init, x_term)``; ``values`` and ``constraints`` are the backward
+    sweep's cost-to-go and constraint-to-go per time point.  When the
+    boundary constraints are linearly dependent (a non-empty feasibility
+    triple) the multipliers are not unique, and ``multipliers`` holds the
+    representative whose ``mu`` is minus the endpoint gradient of the
+    initial cost-to-go.
     """
 
     stages: tuple
@@ -519,13 +461,8 @@ class EndpointAffineSolution:
             raise Infeasible(residual)
         states = self.maps.states(x_init, x_term)
         controls = self.maps.controls(x_init, x_term)
-        if self.multipliers is not None:
-            lambdas = self.multipliers.lambdas(x_init, x_term)
-            mu = self.multipliers.mu(x_init, x_term)
-        else:
-            lambdas, mu = gradient_duals(
-                self.stages, self.terminal, self.values, states, controls,
-                x_init, x_term)
+        lambdas = self.multipliers.lambdas(x_init, x_term)
+        mu = self.multipliers.mu(x_init, x_term)
         problem_like = _ProblemView(self.stages, self.terminal, x_init)
         solution = LqrSolution(
             states=states,
@@ -562,50 +499,23 @@ class _ProblemView:
         return len(self.stages)
 
 
-def gradient_duals(stages, terminal, values, states, controls, x_init, x_term):
-    """Multipliers from value-function gradients and a stationarity recursion.
-
-    The endpoint multiplier is minus the gradient of the initial cost-to-go
-    with respect to the endpoint; the dynamics multipliers then follow the
-    stationarity recursion backwards.  Valid for any reachability pattern;
-    in degenerate directions it picks the representative with no response
-    to unreachable endpoint movement.
-    """
-    if terminal is None:
-        terminal = TerminalCost.zero(stages[0][0].n)
-    v0 = values[0]
-    mu = -(v0.Vzx @ x_init + v0.Vzz @ x_term + v0.vz1)
-    T = len(stages)
-    lambdas = np.empty((T + 1, stages[0][0].n))
-    lambdas[T] = -(terminal.Qxx @ states[T] + terminal.qx1) - mu
-    for t in range(T - 1, -1, -1):
-        cost, dyn = stages[t]
-        lambdas[t] = dyn.Fx.T @ lambdas[t + 1] - (
-            cost.Qxx @ states[t] + cost.Qux.T @ controls[t] + cost.qx1)
-    return lambdas, mu
-
-
 def solve_endpoint_affine(problem, tolerances=DEFAULT_TOLERANCES,
                           collect_diagnostics=False, require_multipliers=False):
     """Run all passes and return the solution as affine maps.
 
-    Multiplier maps are only computed when the feasibility triple is empty:
-    nonzero feasibility rows mean the boundary constraints are linearly
-    dependent, the Gram system is singular and the multipliers are not
-    unique, so :meth:`EndpointAffineSolution.evaluate` uses value-function
-    gradients instead.
+    A non-empty feasibility triple means the boundary constraints are
+    linearly dependent and the multipliers are not unique; the maps then
+    hold the representative of :func:`multiplier_pass`, or, with
+    ``require_multipliers``, :class:`FactorizationFailure` is raised.
     """
     bw = backward_pass(problem.stages, problem.terminal,
                        tolerances=tolerances,
                        collect_diagnostics=collect_diagnostics)
-    maps = forward_pass(bw.policies, problem.stages)
-    mult = None
-    if bw.feasibility.rows == 0:
-        mult = multiplier_pass(problem.stages, problem.terminal, maps)
-    elif require_multipliers:
+    if require_multipliers and bw.feasibility.rows:
         raise FactorizationFailure(
             None, "boundary constraints are linearly dependent "
             f"({bw.feasibility.rows} unreachable endpoint rows)")
+    maps = forward_pass(bw.policies, problem.stages)
     return EndpointAffineSolution(
         stages=problem.stages,
         terminal=problem.terminal,
@@ -613,7 +523,7 @@ def solve_endpoint_affine(problem, tolerances=DEFAULT_TOLERANCES,
         values=bw.values,
         constraints=bw.constraints,
         maps=maps,
-        multipliers=mult,
+        multipliers=_multiplier_maps(problem.stages, problem.terminal, bw, maps),
         diagnostics=bw.diagnostics,
     )
 
@@ -621,32 +531,9 @@ def solve_endpoint_affine(problem, tolerances=DEFAULT_TOLERANCES,
 def solve_endpoint(problem, x_init, x_term, tolerances=DEFAULT_TOLERANCES):
     """Solve the endpoint-constrained problem at concrete endpoints.
 
-    ``problem.x_init`` is ignored in favor of the ``x_init`` argument.
-    Feasibility of the endpoint pair is checked before any multiplier
-    work; an unreachable endpoint raises :class:`Infeasible` carrying the
-    residual of the violated rows.
+    ``problem.x_init`` is ignored in favor of the ``x_init`` argument.  An
+    unreachable endpoint raises :class:`Infeasible` carrying the residual
+    of the violated rows.
     """
-    x_init = np.asarray(x_init, dtype=float)
-    x_term = np.asarray(x_term, dtype=float)
-    bw = backward_pass(problem.stages, problem.terminal, tolerances=tolerances)
-    res = bw.feasibility.residual(x_init, x_term)
-    residual = float(np.abs(res).max()) if res.size else 0.0
-    scale = 1.0 + float(np.abs(x_init).max(initial=0.0)) \
-        + float(np.abs(x_term).max(initial=0.0))
-    if residual > tolerances.feas_tol * scale:
-        raise Infeasible(residual)
-    maps = forward_pass(bw.policies, problem.stages)
-    mult = None
-    if bw.feasibility.rows == 0:
-        mult = multiplier_pass(problem.stages, problem.terminal, maps)
-    affine = EndpointAffineSolution(
-        stages=problem.stages,
-        terminal=problem.terminal,
-        policies=bw.policies,
-        values=bw.values,
-        constraints=bw.constraints,
-        maps=maps,
-        multipliers=mult,
-        diagnostics=bw.diagnostics,
-    )
-    return affine.evaluate(x_init, x_term, tolerances)
+    return solve_endpoint_affine(problem, tolerances).evaluate(
+        x_init, x_term, tolerances)

@@ -23,16 +23,18 @@ class CholeskyFailure(SolverError):
 
 
 class FactorizationFailure(SolverError):
-    """A pivot block of the multiplier normal equations was singular.
+    """A system whose solution must be unique is singular.
 
-    This signals linearly dependent boundary/dynamics constraints, under
-    which the Lagrange multipliers of an endpoint-constrained problem are
-    not unique.
+    Raised when the boundary/dynamics constraints of an endpoint-constrained
+    problem are linearly dependent (``block`` is None), and when a pivot
+    block of a block-tridiagonal link system is not positive-definite
+    (``block`` is its index).
     """
 
     def __init__(self, block, message=None):
         self.block = block
-        super().__init__(message or f"singular pivot block {block} in normal equations")
+        super().__init__(
+            message or f"singular pivot block {block} in block-tridiagonal system")
 
     def __reduce__(self):
         return type(self), (self.block, str(self))

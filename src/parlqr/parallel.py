@@ -12,16 +12,16 @@ multiplier of its right neighbour yields a block-tridiagonal system of
 into the segment maps reconstructs the global trajectory, multipliers and
 per-stage feedback policies.
 
-Boundary multipliers are taken from the segment value-function gradients,
-which equal the maps of :func:`parlqr.endpoint.multiplier_pass` wherever
-those are defined and stay well-conditioned near the reachability boundary;
-interior multipliers then follow the stationarity recursion within each
-segment.  Partitions whose segments cannot reach arbitrary endpoints
-(segment length times control dimension below the state dimension) have
-non-unique segment multipliers; their link points come from the equivalent
-reduced problem over the links, minimizing the summed segment cost-to-go
-subject to each segment's feasibility rows, which coincides with the
-multiplier-matching system whenever all feasibility triples are empty.
+Boundary multipliers are minus the segment value-function gradients, the
+same maps :func:`parlqr.endpoint.multiplier_pass` gives for the first
+state and the endpoint of a segment; interior multipliers then follow the
+stationarity recursion within each segment.  Partitions whose segments
+cannot reach arbitrary endpoints (segment length times control dimension
+below the state dimension) have non-unique segment multipliers; their link
+points come from the equivalent reduced problem over the links, minimizing
+the summed segment cost-to-go subject to each segment's feasibility rows,
+which coincides with the multiplier-matching system whenever all
+feasibility triples are empty.
 
 Worker transport uses stacked per-stage arrays rather than the stage
 objects: one contiguous buffer per coefficient keeps inter-process
@@ -37,6 +37,7 @@ import multiprocessing
 import os
 
 import numpy as np
+import scipy.linalg
 
 from . import endpoint as ep
 from . import serial
@@ -68,6 +69,13 @@ __all__ = [
 ]
 
 WORKERS_ENV_VAR = "PAR_RICCATI_WORKERS"
+
+# Feasibility slack at solved link points, relative to ``feas_tol``.  The
+# endpoint solver checks endpoints the caller gave exactly; link points come
+# out of the link solve, so their feasibility residual also carries that
+# solve's rounding, which scales with the whole link matrix (the segments'
+# cost-to-go blocks included), not with the feasibility rows alone.
+LINK_FEAS_SLACK = 10.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,6 +279,37 @@ def _solve_segment(kind, stages, terminal, tolerances, collect):
 # ---------------------------------------------------------------------------
 # link system
 
+def solve_block_tridiagonal(diag, sub, rhs):
+    """Solve a symmetric positive-definite block-tridiagonal system.
+
+    ``sub[i]`` couples block row ``i+1`` to block row ``i``; the
+    superdiagonal is its transpose.  Block Cholesky elimination without
+    pivoting across blocks; raises :class:`FactorizationFailure` when a
+    pivot block is not positive-definite.
+    """
+    K = len(diag)
+    X = [None] * K
+    d = [None] * K
+    P = diag[0]
+    for i in range(K):
+        if i:
+            P = diag[i] - sub[i - 1] @ X[i - 1]
+        try:
+            L = np.linalg.cholesky(P)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationFailure(i) from exc
+        factor = (L, True)
+        g = rhs[i] if not i else rhs[i] - sub[i - 1] @ d[i - 1]
+        d[i] = scipy.linalg.cho_solve(factor, g, check_finite=False)
+        if i < K - 1:
+            X[i] = scipy.linalg.cho_solve(factor, sub[i].T, check_finite=False)
+    out = [None] * K
+    out[K - 1] = d[K - 1]
+    for i in range(K - 2, -1, -1):
+        out[i] = d[i] - X[i] @ out[i + 1]
+    return np.array(out)
+
+
 @dataclasses.dataclass(eq=False, repr=False)
 class LinkSystem:
     """Block-tridiagonal equations determining the interior link points.
@@ -293,7 +332,7 @@ class LinkSystem:
         # the coefficient matrix is minus the link Hessian of the summed
         # cost-to-go, so the negated system is symmetric positive-definite
         try:
-            sol = ep.solve_block_tridiagonal(
+            sol = solve_block_tridiagonal(
                 -self.diag, -self.sub, self.rhs[:, :, None])
         except FactorizationFailure as exc:
             raise LinkSingular(str(exc)) from exc
@@ -316,8 +355,8 @@ def _link_blocks(seg):
 
     The initial-state multiplier map is minus the gradient of the segment
     cost-to-go in its start state, the terminal-endpoint map minus the
-    gradient in the endpoint; both coincide with the normal-equation maps
-    of :func:`parlqr.endpoint.multiplier_pass` whenever the segment's
+    gradient in the endpoint; both are the boundary blocks of the maps of
+    :func:`parlqr.endpoint.multiplier_pass` whenever the segment's
     feasibility triple is empty.
     """
     if seg["kind"] == "serial":
@@ -511,7 +550,7 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
         resid = float(np.abs(Hx @ a + Hz @ z + h1).max())
         feas_residuals.append(resid)
         scale = 1.0 + float(np.abs(a).max()) + float(np.abs(z).max())
-        if resid > tolerances.feas_tol * scale * 10.0:
+        if resid > tolerances.feas_tol * scale * LINK_FEAS_SLACK:
             raise Infeasible(resid, segment=j)
 
     states = np.empty((T + 1, n))

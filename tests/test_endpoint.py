@@ -151,9 +151,13 @@ class TestMultiplierPass:
         assert np.abs(sol.lambdas).max() <= 1e-12
         assert np.abs(sol.mu).max() <= 1e-12
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_multiplier_maps_match_constrained_oracle(self, seed):
-        problem = generate(4, 2, 10, seed=500 + seed)
+    @pytest.mark.parametrize("seed, dims", [
+        *(pytest.param(seed, (4, 2, 10), id=str(seed)) for seed in range(8)),
+        # three pending-row time points take the stationarity recursion
+        pytest.param(8, (6, 2, 30), id="n6-m2-T30"),
+    ])
+    def test_multiplier_maps_match_constrained_oracle(self, seed, dims):
+        problem = generate(*dims, seed=500 + seed)
         z = reachable_endpoint(problem, seed)
         affine = endpoint.solve_endpoint_affine(problem)
         assert affine.multipliers is not None
@@ -163,22 +167,6 @@ class TestMultiplierPass:
         tol = 1e-7 * tolerance_scale(problem)
         assert max_deviation(lam, oracle.lambdas) <= tol
         assert max_deviation(mu, oracle.mu) <= tol
-
-    def test_normal_equations_structure(self):
-        problem = generate(3, 2, 5, seed=60)
-        bw = endpoint.backward_pass(problem.stages, problem.terminal)
-        maps = endpoint.forward_pass(bw.policies, problem.stages)
-        eqs = endpoint.assemble_normal_equations(problem.stages,
-                                                 problem.terminal, maps)
-        n, T = problem.n, problem.T
-        assert eqs.diag.shape == (T + 2, n, n)
-        np.testing.assert_allclose(eqs.diag[0], np.eye(n))
-        np.testing.assert_allclose(eqs.diag[-1], np.eye(n))
-        for t, (_, dyn) in enumerate(problem.stages):
-            expected = np.eye(n) + dyn.Fx @ dyn.Fx.T + dyn.Fu @ dyn.Fu.T
-            np.testing.assert_allclose(eqs.diag[t + 1], expected)
-            np.testing.assert_allclose(eqs.sub[t], -dyn.Fx)
-            assert np.linalg.eigvalsh(expected).min() > 0
 
     def test_gram_system_singular_for_dependent_constraints(self):
         # one step cannot pin three states with one control
@@ -197,6 +185,18 @@ class TestMultiplierPass:
         assert max_deviation(affine.multipliers.Ea, -v0.Vzx) <= tol
         assert max_deviation(affine.multipliers.Ez, -v0.Vzz) <= tol
         assert max_deviation(affine.multipliers.e1, -v0.vz1) <= tol
+
+    def test_multiplier_pass_matches_affine_solution(self):
+        # the per-layer call sweeps again; the solver reuses its own sweep
+        problem = generate(4, 2, 40, seed=63)
+        bw = endpoint.backward_pass(problem.stages, problem.terminal)
+        got = endpoint.multiplier_pass(
+            problem.stages, problem.terminal,
+            endpoint.forward_pass(bw.policies, problem.stages))
+        want = endpoint.solve_endpoint_affine(problem).multipliers
+        tol = 1e-12 * tolerance_scale(problem)
+        for block in ("La", "Lz", "l1", "Ea", "Ez", "e1"):
+            assert max_deviation(getattr(got, block), getattr(want, block)) <= tol
 
 
 class TestSolveEndpoint:
