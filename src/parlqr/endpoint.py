@@ -45,7 +45,9 @@ from .errors import FactorizationFailure, Infeasible
 from .problem import (
     DEFAULT_TOLERANCES,
     AffinePolicy,
+    LqrProblem,
     LqrSolution,
+    StageStack,
     TerminalCost,
     evaluate_objective,
     kkt_residual,
@@ -428,7 +430,7 @@ class EndpointAffineSolution:
     initial cost-to-go.
     """
 
-    stages: tuple
+    stages: StageStack
     terminal: TerminalCost
     policies: tuple
     values: tuple
@@ -463,40 +465,19 @@ class EndpointAffineSolution:
         controls = self.maps.controls(x_init, x_term)
         lambdas = self.multipliers.lambdas(x_init, x_term)
         mu = self.multipliers.mu(x_init, x_term)
-        problem_like = _ProblemView(self.stages, self.terminal, x_init)
+        problem = LqrProblem(self.stages, self.terminal, x_init)
         solution = LqrSolution(
             states=states,
             controls=controls,
             lambdas=lambdas,
             policies=self.policies,
-            objective=evaluate_objective(problem_like, states, controls),
+            objective=evaluate_objective(problem, states, controls),
             kkt_residual_inf=0.0,
             mu=mu,
             x_term=x_term,
         )
         return dataclasses.replace(
-            solution, kkt_residual_inf=kkt_residual(problem_like, solution))
-
-
-class _ProblemView:
-    """Minimal problem-shaped adapter for cost and residual evaluation."""
-
-    def __init__(self, stages, terminal, x_init):
-        self.stages = stages
-        self.terminal = terminal
-        self.x_init = np.asarray(x_init, dtype=float)
-
-    @property
-    def n(self):
-        return self.stages[0][0].n
-
-    @property
-    def m(self):
-        return self.stages[0][0].m
-
-    @property
-    def T(self):
-        return len(self.stages)
+            solution, kkt_residual_inf=kkt_residual(problem, solution))
 
 
 def solve_endpoint_affine(problem, tolerances=DEFAULT_TOLERANCES,

@@ -23,15 +23,18 @@ the summed segment cost-to-go subject to each segment's feasibility rows,
 which coincides with the multiplier-matching system whenever all
 feasibility triples are empty.
 
-Worker transport uses stacked per-stage arrays rather than the stage
-objects: one contiguous buffer per coefficient keeps inter-process
-serialization off the critical path.
+Each segment's payload carries ``problem.stages[lo:hi]``, a
+:class:`parlqr.problem.StageStack` slice whose stage pairs are views into
+the problem's stacked ``(T, ...)`` coefficient arrays.  It pickles as one
+contiguous buffer per coefficient, holding only the segment's stages, and
+the worker sweeps it through the same views.
 """
 
 from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import copy
 import dataclasses
 import multiprocessing
 import os
@@ -55,6 +58,7 @@ from .problem import (
     TerminalCost,
     evaluate_objective,
     kkt_residual,
+    rollout,
 )
 
 __all__ = [
@@ -125,66 +129,6 @@ def default_workers(J):
 
 
 # ---------------------------------------------------------------------------
-# stage transport: stacked coefficient arrays instead of per-stage objects
-
-_STAGE_FIELDS = ("Qxx", "Qux", "Quu", "qx1", "qu1", "Fx", "Fu", "f1")
-
-
-class _RawCost:
-    __slots__ = ("Qxx", "Qux", "Quu", "qx1", "qu1")
-
-    def __init__(self, Qxx, Qux, Quu, qx1, qu1):
-        self.Qxx, self.Qux, self.Quu, self.qx1, self.qu1 = Qxx, Qux, Quu, qx1, qu1
-
-    @property
-    def n(self):
-        return self.Qxx.shape[0]
-
-    @property
-    def m(self):
-        return self.Quu.shape[0]
-
-
-class _RawDynamics:
-    __slots__ = ("Fx", "Fu", "f1")
-
-    def __init__(self, Fx, Fu, f1):
-        self.Fx, self.Fu, self.f1 = Fx, Fu, f1
-
-    @property
-    def n(self):
-        return self.Fx.shape[0]
-
-    @property
-    def m(self):
-        return self.Fu.shape[1]
-
-
-def _stacked_stages(problem):
-    """Per-coefficient (T, ...) arrays, memoized on the problem instance."""
-    cached = getattr(problem, "_stacked_stages", None)
-    if cached is None:
-        cached = {f: np.stack([getattr(c if f[0] in "Qq" else d, f)
-                               for c, d in problem.stages])
-                  for f in _STAGE_FIELDS}
-        object.__setattr__(problem, "_stacked_stages", cached)
-    return cached
-
-
-def _slice_stages(stacked, lo, hi):
-    return {f: stacked[f][lo:hi] for f in _STAGE_FIELDS}
-
-
-def _stages_from_arrays(arrays):
-    T = arrays["Qxx"].shape[0]
-    return tuple(
-        (_RawCost(arrays["Qxx"][t], arrays["Qux"][t], arrays["Quu"][t],
-                  arrays["qx1"][t], arrays["qu1"][t]),
-         _RawDynamics(arrays["Fx"][t], arrays["Fu"][t], arrays["f1"][t]))
-        for t in range(T))
-
-
-# ---------------------------------------------------------------------------
 # worker pool
 
 _POOLS = {}
@@ -210,22 +154,19 @@ def shutdown_pools():
 atexit.register(shutdown_pools)
 
 
-def _copy_payload(payload):
-    kind, lo, arrays, terminal, tolerances, collect = payload
-    return kind, lo, {f: a.copy() for f, a in arrays.items()}, terminal, \
-        tolerances, collect
-
-
 def _run_tasks(payloads, workers):
-    if workers <= 1 or len(payloads) <= 1:
+    # a pool starts all its processes at once, so it gets no more than it
+    # has tasks
+    workers = min(workers, len(payloads))
+    if workers <= 1:
         # fresh buffers, matching the copies the pool transport would make:
         # BLAS kernel selection is alignment-sensitive, and results must be
         # bit-identical for every worker count
-        return [_solve_segment_task(_copy_payload(p)) for p in payloads]
+        return [_solve_segment_task(copy.deepcopy(p)) for p in payloads]
     try:
         pool = _get_pool(workers)
     except ValueError:  # platform without fork
-        return [_solve_segment_task(_copy_payload(p)) for p in payloads]
+        return [_solve_segment_task(copy.deepcopy(p)) for p in payloads]
     # Batch segments only when they far outnumber the workers: each pool
     # task costs a round trip, which dominates tiny segments (J=T), while a
     # chunk must be pickled whole before its worker starts, which would
@@ -243,10 +184,9 @@ def _solve_segment_task(payload):
     are re-derived in the parent by rolling the policies out, which keeps
     the inter-process result payload small.
     """
-    kind, lo, arrays, terminal, tolerances, collect = payload
+    kind, lo, stages, terminal, tolerances, collect = payload
     try:
-        return _solve_segment(kind, _stages_from_arrays(arrays), terminal,
-                              tolerances, collect)
+        return _solve_segment(kind, stages, terminal, tolerances, collect)
     except CholeskyFailure as exc:
         # report the stage on the global horizon, not within the segment
         raise CholeskyFailure(lo + exc.stage) from exc
@@ -483,16 +423,15 @@ class ParallelDetails:
 
 
 def _segment_payloads(problem, partition, tolerances, collect):
-    stacked = _stacked_stages(problem)
     payloads = []
     for j in range(partition.J):
         lo, hi = partition.segment(j)
-        arrays = _slice_stages(stacked, lo, hi)
+        stages = problem.stages[lo:hi]
         if j == partition.J - 1:
-            payloads.append(("serial", lo, arrays, problem.terminal,
+            payloads.append(("serial", lo, stages, problem.terminal,
                              tolerances, collect))
         else:
-            payloads.append(("endpoint", lo, arrays, None, tolerances,
+            payloads.append(("endpoint", lo, stages, None, tolerances,
                              collect))
     return payloads
 
@@ -630,17 +569,6 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
         solution, kkt_residual_inf=kkt_residual(problem, solution))
 
 
-def _rollout_policies(problem, policies):
-    n, m, T = problem.n, problem.m, problem.T
-    xs = np.empty((T + 1, n))
-    us = np.empty((T, m))
-    xs[0] = problem.x_init
-    for t, (_, dyn) in enumerate(problem.stages):
-        us[t] = policies[t](xs[t])
-        xs[t + 1] = dyn.Fx @ xs[t] + dyn.Fu @ us[t] + dyn.f1
-    return xs, us
-
-
 def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
     """Second pass trading endpoint constraints for conditioned value costs.
 
@@ -673,7 +601,6 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
                 "for this partition")
     links = details.link_points
     workers = default_workers(J - 1) if workers is None else max(1, workers)
-    stacked = _stacked_stages(problem)
     payloads = []
     for j in range(J - 1):
         lo, hi = partition.segment(j)
@@ -684,14 +611,14 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
         else:
             Vxx, Vzx, _, vx1, _ = vf
             terminal = TerminalCost(Vxx, vx1 + Vzx.T @ links[j + 1])
-        payloads.append(("serial", lo, _slice_stages(stacked, lo, hi),
-                         terminal, tolerances, False))
+        payloads.append(("serial", lo, problem.stages[lo:hi], terminal,
+                         tolerances, False))
     repassed = _run_tasks(payloads, workers)
     policies = list(result.policies)
     for j in range(J - 1):
         lo, hi = partition.segment(j)
         policies[lo:hi] = _feedback_policies(repassed[j]["Kx"], repassed[j]["k1"])
-    states, controls = _rollout_policies(problem, tuple(policies))
+    states, controls = rollout(problem, policies, problem.x_init)
     deviation = max(float(np.abs(states - result.states).max()),
                     float(np.abs(controls - result.controls).max()))
     smoothed = LqrSolution(

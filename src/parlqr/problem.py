@@ -18,6 +18,7 @@ so that ``lam_t`` equals minus the gradient of the cost-to-go.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "StageCost",
     "TerminalCost",
     "StageDynamics",
+    "StageStack",
     "LqrProblem",
     "AffinePolicy",
     "LqrSolution",
@@ -178,27 +180,98 @@ class StageDynamics:
         return self.Fu.shape[1]
 
 
+COST_FIELDS = ("Qxx", "Qux", "Quu", "qx1", "qu1")
+DYNAMICS_FIELDS = ("Fx", "Fu", "f1")
+
+
+def _view(cls, stack, fields, t):
+    """A ``cls`` instance holding views of stage ``t`` of the stacked fields."""
+    obj = object.__new__(cls)
+    for f in fields:
+        object.__setattr__(obj, f, getattr(stack, f)[t])
+    return obj
+
+
+class StageStack(collections.abc.Sequence):
+    """Read-only sequence of ``(StageCost, StageDynamics)`` pairs over stacks.
+
+    Each stage coefficient is stored once, as one read-only ``(T, ...)``
+    array (``Qxx`` is ``(T, n, n)``, ``qx1`` is ``(T, n)``, and so on), and
+    ``asymmetry`` holds the ``(T,)`` relative asymmetries of the raw cost
+    inputs.  ``stages[t]`` is a pair of views into these stacks, built on
+    first access and the same objects on every later one.  A slice is a
+    ``StageStack`` over views of the same stacks, reusing the pairs built
+    so far, and pickles as its own arrays only.
+    """
+
+    FIELDS = COST_FIELDS + DYNAMICS_FIELDS + ("asymmetry",)
+
+    def __init__(self, Qxx, Qux, Quu, qx1, qu1, Fx, Fu, f1, asymmetry):
+        for name, arr in zip(self.FIELDS,
+                             (Qxx, Qux, Quu, qx1, qu1, Fx, Fu, f1, asymmetry)):
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+        self._pairs = [None] * len(asymmetry)
+
+    @classmethod
+    def from_pairs(cls, stages):
+        """Stack a non-empty sequence of pairs of equal dimensions."""
+        n, m = stages[0][0].n, stages[0][0].m
+        for t, (cost, dyn) in enumerate(stages):
+            if cost.n != n or cost.m != m or dyn.n != n or dyn.m != m:
+                raise ValueError(f"inconsistent dimensions at stage {t}")
+        costs = [cost for cost, _ in stages]
+        dyns = [dyn for _, dyn in stages]
+        return cls(*(np.array([getattr(c, f) for c in costs]) for f in COST_FIELDS),
+                   *(np.array([getattr(d, f) for d in dyns]) for f in DYNAMICS_FIELDS),
+                   np.array([c.asymmetry for c in costs]))
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            part = StageStack(*(getattr(self, f)[key] for f in self.FIELDS))
+            part._pairs = self._pairs[key]
+            return part
+        pair = self._pairs[key]
+        if pair is None:
+            t = range(len(self))[key]
+            cost = _view(StageCost, self, COST_FIELDS, t)
+            object.__setattr__(cost, "asymmetry", float(self.asymmetry[t]))
+            pair = self._pairs[t] = (cost, _view(StageDynamics, self, DYNAMICS_FIELDS, t))
+        return pair
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+    def __reduce__(self):
+        return StageStack, tuple(getattr(self, f) for f in self.FIELDS)
+
+
 @dataclasses.dataclass(frozen=True, eq=False, repr=False)
 class LqrProblem:
     """Full time-varying problem data.
 
-    ``stages`` is a length-``T`` sequence of ``(StageCost, StageDynamics)``
-    pairs; ``T`` is the number of controls.
+    ``stages`` is a :class:`StageStack`: a read-only length-``T`` sequence
+    of ``(StageCost, StageDynamics)`` views into stacked ``(T, ...)``
+    coefficient arrays; ``T`` is the number of controls.  A ``StageStack``
+    passed in (such as another problem's ``stages`` or a slice of them) is
+    shared as it is; any other sequence of pairs is stacked once.
     """
 
-    stages: tuple
+    stages: StageStack
     terminal: TerminalCost
     x_init: np.ndarray
 
     def __init__(self, stages, terminal, x_init):
-        stages = tuple((cost, dyn) for cost, dyn in stages)
-        if not stages:
+        if not isinstance(stages, StageStack):
+            stages = tuple((cost, dyn) for cost, dyn in stages)
+            if stages:
+                stages = StageStack.from_pairs(stages)
+        if not len(stages):
             raise ValueError("horizon must contain at least one stage")
-        n = stages[0][0].n
-        m = stages[0][0].m
-        for t, (cost, dyn) in enumerate(stages):
-            if cost.n != n or cost.m != m or dyn.n != n or dyn.m != m:
-                raise ValueError(f"inconsistent dimensions at stage {t}")
+        n = stages.Qxx.shape[1]
         if terminal.n != n:
             raise ValueError("terminal cost dimension mismatch")
         object.__setattr__(self, "stages", stages)
@@ -207,11 +280,11 @@ class LqrProblem:
 
     @property
     def n(self):
-        return self.stages[0][0].n
+        return self.stages.Qxx.shape[1]
 
     @property
     def m(self):
-        return self.stages[0][0].m
+        return self.stages.Quu.shape[1]
 
     @property
     def T(self):
@@ -316,33 +389,41 @@ def validate(problem, tolerances=DEFAULT_TOLERANCES):
 
     Never raises: structural dimension errors are caught at construction,
     everything numerical (symmetry, definiteness, finiteness) is reported
-    here so a caller can list all defects of a data file at once.
+    here so a caller can list all defects of a data file at once.  Messages
+    come stage by stage.  A stage whose ``Quu`` is not finite skips the
+    definiteness checks, and one whose ``Qxx`` or ``Qux`` is not finite
+    skips the control-eliminated state cost check.
     """
-    errors = []
-    for t, (cost, dyn) in enumerate(problem.stages):
-        if cost.asymmetry > SYMMETRY_TOL:
-            errors.append(f"asymmetry exceeds tolerance in cost at stage {t}")
-        for name, arr in (("Qxx", cost.Qxx), ("Qux", cost.Qux), ("Quu", cost.Quu),
-                          ("qx1", cost.qx1), ("qu1", cost.qu1)):
-            if not np.all(np.isfinite(arr)):
-                errors.append(f"non-finite entries in {name} at stage {t}")
-        for name, arr in (("Fx", dyn.Fx), ("Fu", dyn.Fu), ("f1", dyn.f1)):
-            if not np.all(np.isfinite(arr)):
-                errors.append(f"non-finite entries in {name} at stage {t}")
-        if not np.all(np.isfinite(cost.Quu)):
-            continue
-        try:
-            np.linalg.cholesky(cost.Quu)
-        except np.linalg.LinAlgError:
-            errors.append(f"Quu not positive-definite at stage {t}")
-            continue
-        if not np.all(np.isfinite(cost.Qxx)) or not np.all(np.isfinite(cost.Qux)):
-            continue
-        schur = cost.Qxx - cost.Qux.T @ np.linalg.solve(cost.Quu, cost.Qux)
-        eigs = np.linalg.eigvalsh(schur)
-        scale = float(np.abs(np.linalg.eigvalsh(cost.Qxx)).max()) if cost.Qxx.size else 0.0
-        if eigs.min() < -PSD_FLOOR * max(scale, 1.0):
-            errors.append(f"control-eliminated state cost not PSD at stage {t}")
+    stages = problem.stages
+    T = len(stages)
+    finite = {f: np.isfinite(getattr(stages, f)).reshape(T, -1).all(axis=1)
+              for f in COST_FIELDS + DYNAMICS_FIELDS}
+    # Quu positive-definite where finite; Cholesky of the whole batch, and
+    # stage by stage only when some factorization fails
+    quu_pd = finite["Quu"].copy()
+    checked = np.flatnonzero(quu_pd)
+    try:
+        np.linalg.cholesky(stages.Quu[checked])
+    except np.linalg.LinAlgError:
+        for t in checked:
+            try:
+                np.linalg.cholesky(stages.Quu[t])
+            except np.linalg.LinAlgError:
+                quu_pd[t] = False
+    checked = np.flatnonzero(quu_pd & finite["Qxx"] & finite["Qux"])
+    Qxx, Qux = stages.Qxx[checked], stages.Qux[checked]
+    schur = Qxx - np.swapaxes(Qux, 1, 2) @ np.linalg.solve(stages.Quu[checked], Qux)
+    scale = np.abs(np.linalg.eigvalsh(Qxx)).max(axis=1, initial=0.0)
+    not_psd = checked[np.linalg.eigvalsh(schur).min(axis=1)
+                      < -PSD_FLOOR * np.maximum(scale, 1.0)]
+    # (stage, message) in check order; the stable sort groups them by stage
+    found = [(t, "asymmetry exceeds tolerance in cost")
+             for t in np.flatnonzero(stages.asymmetry > SYMMETRY_TOL)]
+    for name, ok in finite.items():
+        found += [(t, f"non-finite entries in {name}") for t in np.flatnonzero(~ok)]
+    found += [(t, "Quu not positive-definite") for t in np.flatnonzero(finite["Quu"] & ~quu_pd)]
+    found += [(t, "control-eliminated state cost not PSD") for t in not_psd]
+    errors = [f"{what} at stage {t}" for t, what in sorted(found, key=lambda e: e[0])]
     if problem.terminal.asymmetry > SYMMETRY_TOL:
         errors.append("asymmetry exceeds tolerance in terminal cost")
     if not np.all(np.isfinite(problem.terminal.Qxx)) or not np.all(np.isfinite(problem.terminal.qx1)):
@@ -379,6 +460,16 @@ def rollout(problem, policies, x0, x_term=None):
     return states, controls
 
 
+def _mv(A, v):
+    """Stage-wise products ``A[t] @ v[t]`` of a ``(T, p, q)`` and a ``(T, q)`` stack."""
+    return np.einsum("tij,tj->ti", A, v)
+
+
+def _mtv(A, v):
+    """Stage-wise products ``A[t].T @ v[t]``."""
+    return np.einsum("tji,tj->ti", A, v)
+
+
 def evaluate_objective(problem, states, controls):
     """Exact cost of a trajectory: terminal cost plus the stage-cost sum."""
     states = np.asarray(states, dtype=float)
@@ -387,37 +478,36 @@ def evaluate_objective(problem, states, controls):
         raise ValueError("states have wrong shape")
     if controls.shape != (problem.T, problem.m):
         raise ValueError("controls have wrong shape")
-    total = 0.0
-    for t, (cost, _) in enumerate(problem.stages):
-        x = states[t]
-        u = controls[t]
-        total += 0.5 * (x @ (cost.Qxx @ x)) + 0.5 * (u @ (cost.Quu @ u))
-        total += u @ (cost.Qux @ x) + cost.qx1 @ x + cost.qu1 @ u
+    s = problem.stages
+    x, u = states[:-1], controls
+    stage = (x * (0.5 * _mv(s.Qxx, x) + s.qx1)
+             ).sum() + (u * (0.5 * _mv(s.Quu, u) + _mv(s.Qux, x) + s.qu1)).sum()
     xT = states[-1]
-    total += 0.5 * (xT @ (problem.terminal.Qxx @ xT)) + problem.terminal.qx1 @ xT
+    total = stage + 0.5 * (xT @ (problem.terminal.Qxx @ xT)) + problem.terminal.qx1 @ xT
     return float(total)
 
 
 def stationarity_residuals(problem, states, controls, lambdas, mu=None, x_term=None):
     """Stack all first-order optimality residuals of a candidate solution.
 
-    Rows: per-stage stationarity in x and u, terminal stationarity
-    (including ``mu`` when an endpoint constraint is present), the dynamics
-    defects, the initial-state defect and, when ``x_term`` is given, the
-    endpoint defect.  Returns a flat array.
+    Rows: for each stage in turn, its stationarity in x, its stationarity
+    in u and its dynamics defect; then terminal stationarity (including
+    ``mu`` when an endpoint constraint is present), the initial-state
+    defect and, when ``x_term`` is given, the endpoint defect.  Returns a
+    flat array.
     """
-    parts = []
-    for t, (cost, dyn) in enumerate(problem.stages):
-        x, u = states[t], controls[t]
-        lam, lam_next = lambdas[t], lambdas[t + 1]
-        parts.append(cost.Qxx @ x + cost.Qux.T @ u + cost.qx1 + lam - dyn.Fx.T @ lam_next)
-        parts.append(cost.Qux @ x + cost.Quu @ u + cost.qu1 - dyn.Fu.T @ lam_next)
-        parts.append(states[t + 1] - (dyn.Fx @ x + dyn.Fu @ u + dyn.f1))
+    s = problem.stages
+    x, xn, u = states[:-1], states[1:], controls
+    lam, lam_next = lambdas[:-1], lambdas[1:]
+    per_stage = np.concatenate([
+        _mv(s.Qxx, x) + _mtv(s.Qux, u) + s.qx1 + lam - _mtv(s.Fx, lam_next),
+        _mv(s.Qux, x) + _mv(s.Quu, u) + s.qu1 - _mtv(s.Fu, lam_next),
+        xn - (_mv(s.Fx, x) + _mv(s.Fu, u) + s.f1),
+    ], axis=1)
     term = problem.terminal.Qxx @ states[-1] + problem.terminal.qx1 + lambdas[-1]
     if mu is not None:
         term = term + mu
-    parts.append(term)
-    parts.append(states[0] - problem.x_init)
+    parts = [per_stage.ravel(), term, states[0] - problem.x_init]
     if x_term is not None:
         parts.append(states[-1] - x_term)
     return np.concatenate(parts)
@@ -439,12 +529,8 @@ def kkt_residual(problem, solution):
 def data_magnitude(problem):
     """Largest absolute entry across all problem data arrays."""
     peak = float(np.abs(problem.x_init).max()) if problem.x_init.size else 0.0
-    for cost, dyn in problem.stages:
-        for arr in (cost.Qxx, cost.Qux, cost.Quu, cost.qx1, cost.qu1,
-                    dyn.Fx, dyn.Fu, dyn.f1):
-            if arr.size:
-                peak = max(peak, float(np.abs(arr).max()))
-    for arr in (problem.terminal.Qxx, problem.terminal.qx1):
+    stacks = [getattr(problem.stages, f) for f in COST_FIELDS + DYNAMICS_FIELDS]
+    for arr in stacks + [problem.terminal.Qxx, problem.terminal.qx1]:
         if arr.size:
             peak = max(peak, float(np.abs(arr).max()))
     return peak

@@ -162,8 +162,7 @@ class TestLinkDiagnostics:
         part = parallel.make_partition(problem.T, 4)
         payloads = parallel._segment_payloads(
             problem, part, parallel.DEFAULT_TOLERANCES, False)
-        segments = [parallel._solve_segment_task(parallel._copy_payload(p))
-                    for p in payloads]
+        segments = parallel._run_tasks(payloads, workers=1)
         system = parallel.assemble_link_system(segments, part, problem.x_init)
         assert system.diag.shape == (3, 4, 4)
         assert system.sub.shape == (2, 4, 4)
@@ -194,6 +193,27 @@ class TestLinkDiagnostics:
             assert np.array_equal(a.details.link_points, b.details.link_points)
             assert np.abs(a.states - b.states).max() <= 1e-12
             assert np.abs(a.lambdas - b.lambdas).max() <= 1e-12
+
+
+class TestPoolSize:
+    def test_pool_never_gets_more_processes_than_tasks(self, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            def map(self, fn, payloads, chunksize=1):
+                return map(fn, payloads)
+
+        def get_pool(workers):
+            asked.append(workers)
+            return InProcessPool()
+
+        monkeypatch.setattr(parallel, "_get_pool", get_pool)
+        problem = generate(3, 2, 16, seed=3)
+        sol = parallel.solve_parallel(problem, J=8, workers=5000)
+        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "5000")
+        parallel.smooth(problem, parallel.solve_parallel(problem, J=8))
+        assert asked == [8, 8, 7]
+        assert kkt_residual(problem, sol) <= 1e-8 * tolerance_scale(problem)
 
 
 class TestSegmentFailures:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from parlqr.problem import (
     LqrProblem,
     StageCost,
     StageDynamics,
+    StageStack,
     TerminalCost,
     evaluate_objective,
     kkt_residual,
@@ -41,6 +44,39 @@ class TestValidate:
         problem = LqrProblem([(cost, dyn)], TerminalCost([[-1.0]], [0.0]), [0.0])
         report = validate(problem)
         assert len(report.errors) >= 3
+
+    def test_defects_at_several_stages_reported_in_stage_order(self):
+        problem = generate(3, 2, 8, seed=4)
+        stages = list(problem.stages)
+        c, d = stages[1]  # asymmetric, indefinite state cost
+        Qxx = -np.eye(3)
+        Qxx[0, 1] = 1.0
+        stages[1] = (StageCost(Qxx, c.Qux, c.Quu, c.qx1, c.qu1), d)
+        c, d = stages[3]  # indefinite control cost
+        stages[3] = (StageCost(c.Qxx, c.Qux, -np.eye(2), c.qx1, c.qu1), d)
+        c, d = stages[4]  # non-finite Quu and f1: no definiteness checks
+        Quu = c.Quu.copy()
+        Quu[1, 1] = np.nan
+        f1 = d.f1.copy()
+        f1[0] = np.inf
+        stages[4] = (StageCost(c.Qxx, c.Qux, Quu, c.qx1, c.qu1),
+                     StageDynamics(d.Fx, d.Fu, f1))
+        c, d = stages[6]  # non-finite Qux: no check of the indefinite Qxx
+        Qux = c.Qux.copy()
+        Qux[0, 2] = np.nan
+        stages[6] = (StageCost(-np.eye(3), Qux, c.Quu, c.qx1, c.qu1), d)
+        defective = LqrProblem(stages, TerminalCost(-np.eye(3), problem.terminal.qx1),
+                               [0.0, np.nan, 0.0])
+        assert list(validate(defective).errors) == [
+            "asymmetry exceeds tolerance in cost at stage 1",
+            "control-eliminated state cost not PSD at stage 1",
+            "Quu not positive-definite at stage 3",
+            "non-finite entries in Quu at stage 4",
+            "non-finite entries in f1 at stage 4",
+            "non-finite entries in Qux at stage 6",
+            "terminal cost not positive semi-definite",
+            "non-finite entries in x_init",
+        ]
 
     def test_generated_problems_always_valid(self):
         for seed in range(20):
@@ -176,3 +212,35 @@ class TestConstruction:
         policy = AffinePolicy(np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1))
         with pytest.raises(ValueError):
             policy(np.zeros(1))
+
+
+class TestStageStack:
+    def test_problems_and_slices_share_the_stacks(self):
+        problem = generate(3, 2, 12, seed=1)
+        pair = problem.stages[4]
+        again = LqrProblem(problem.stages, problem.terminal, np.ones(3))
+        part = problem.stages[4:9]
+        assert again.stages is problem.stages
+        assert problem.stages[4] is pair and part[0] is pair
+        for f in StageStack.FIELDS:
+            whole = getattr(problem.stages, f)
+            assert not whole.flags.writeable
+            assert np.shares_memory(getattr(part, f), whole)
+            assert not getattr(part, f).flags.writeable
+        cost, dyn = part[2]
+        for arr, whole in ((cost.Qxx, problem.stages.Qxx), (dyn.f1, problem.stages.f1)):
+            assert np.shares_memory(arr, whole)
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_slice_pickles_as_its_arrays(self):
+        problem = generate(10, 3, 200, seed=2)
+        part = problem.stages[20:170]
+        blob = pickle.dumps(part)
+        raw = sum(getattr(part, f).nbytes for f in StageStack.FIELDS)
+        assert len(blob) <= 1.01 * raw
+        back = pickle.loads(blob)
+        assert len(back) == len(part)
+        for f in StageStack.FIELDS:
+            assert np.array_equal(getattr(back, f), getattr(part, f))
+            assert not getattr(back, f).flags.writeable
