@@ -1,8 +1,8 @@
 """Split the horizon, solve the pieces concurrently, match at the links.
 
 The partitioned solver reproduces the serial trajectory exactly while each
-segment runs independently; the unknown segment boundaries come from a
-small block-tridiagonal system built from the segments' boundary
+segment runs independently; the unknown segment boundaries come from one
+banded solve of the link system built from the segments' boundary
 multipliers.  The smoothing pass then re-derives softer policies that keep
 the same optimal trajectory.
 """
@@ -32,6 +32,7 @@ solution = parlqr.solve_parallel(problem, J=8, workers=2)
 details = solution.details
 print("\nlink multiplier mismatch :", f"{details.link_mismatch:.2e}")
 print("link system residual     :", f"{details.link_residual:.2e}")
+print("link system rcond        :", f"{details.link_rcond:.2e}")
 print("link points vs serial    :",
       max(np.abs(details.link_points[k] - reference.states[tau]).max()
           for k, tau in enumerate(details.partition.split_times[1:-1])))

@@ -4,8 +4,8 @@ The package provides three interchangeable solvers for the same problem
 class: a serial Riccati sweep (:mod:`parlqr.serial`), a dense KKT
 factorization used as a correctness oracle (:mod:`parlqr.kkt`) and a
 horizon-partitioned solver (:mod:`parlqr.parallel`) that runs
-endpoint-constrained sub-problems concurrently and couples them through a
-small block-tridiagonal link-point system.  The endpoint-constrained
+endpoint-constrained sub-problems concurrently and couples them through
+one banded solve for the link points.  The endpoint-constrained
 machinery itself, with solutions affine in both boundary states, lives in
 :mod:`parlqr.endpoint`.
 """

@@ -26,15 +26,13 @@ class FactorizationFailure(SolverError):
     """A system whose solution must be unique is singular.
 
     Raised when the boundary/dynamics constraints of an endpoint-constrained
-    problem are linearly dependent (``block`` is None), and when a pivot
-    block of a block-tridiagonal link system is not positive-definite
-    (``block`` is its index).
+    problem are linearly dependent; ``block`` locates the failure where the
+    raiser has one (None otherwise).
     """
 
     def __init__(self, block, message=None):
         self.block = block
-        super().__init__(
-            message or f"singular pivot block {block} in block-tridiagonal system")
+        super().__init__(message or f"singular system at block {block}")
 
     def __reduce__(self):
         return type(self), (self.block, str(self))

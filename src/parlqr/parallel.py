@@ -5,23 +5,23 @@ an endpoint-constrained problem with zero terminal cost whose boundary
 states are unknown link points; the last segment keeps the terminal cost
 and is solved by the plain Riccati sweep with a symbolic start state.  Each
 segment is solved independently (on a process pool when ``workers > 1``),
-producing its solution as affine maps of its two boundary states.  Matching
-the terminal-endpoint multiplier of each segment against the initial-state
-multiplier of its right neighbour yields a block-tridiagonal system of
-``(J-1) n`` equations in the link points; substituting its solution back
-into the segment maps reconstructs the global trajectory, multipliers and
-per-stage feedback policies.
+producing its solution as affine maps of its two boundary states.  The link
+points solve the reduced problem over the links: minimize the summed
+segment cost-to-go subject to each segment's feasibility rows, which are
+empty unless the segment cannot reach arbitrary endpoints (segment length
+times control dimension below the state dimension).  Its stationarity rows
+match the terminal-endpoint multiplier of each segment against the
+initial-state multiplier of its right neighbour.  Interleaving each link
+with the multipliers of the rows that end at it makes the KKT system
+banded, so one banded LU solve serves every partition at a cost linear in
+``J``; substituting its solution back into the segment maps reconstructs
+the global trajectory, multipliers and per-stage feedback policies.
 
 Boundary multipliers are minus the segment value-function gradients, the
 same maps :func:`parlqr.endpoint.multiplier_pass` gives for the first
-state and the endpoint of a segment; interior multipliers then follow the
-stationarity recursion within each segment.  Partitions whose segments
-cannot reach arbitrary endpoints (segment length times control dimension
-below the state dimension) have non-unique segment multipliers; their link
-points come from the equivalent reduced problem over the links, minimizing
-the summed segment cost-to-go subject to each segment's feasibility rows,
-which coincides with the multiplier-matching system whenever all
-feasibility triples are empty.
+state and the endpoint of a segment, corrected by the feasibility-row
+multipliers; interior multipliers then follow the stationarity recursion
+within each segment.
 
 Each segment's payload carries ``problem.stages[lo:hi]``, a
 :class:`parlqr.problem.StageStack` slice whose stage pairs are views into
@@ -46,7 +46,6 @@ from . import endpoint as ep
 from . import serial
 from .errors import (
     CholeskyFailure,
-    FactorizationFailure,
     Infeasible,
     LinkSingular,
     WorkerConfigError,
@@ -63,9 +62,7 @@ from .problem import (
 
 __all__ = [
     "Partition",
-    "LinkSystem",
     "make_partition",
-    "assemble_link_system",
     "solve_parallel",
     "smooth",
     "default_workers",
@@ -219,176 +216,113 @@ def _solve_segment(kind, stages, terminal, tolerances, collect):
 # ---------------------------------------------------------------------------
 # link system
 
-def solve_block_tridiagonal(diag, sub, rhs):
-    """Solve a symmetric positive-definite block-tridiagonal system.
+def _solve_links(segments, partition, x_init):
+    """Link points and feasibility multipliers from one banded KKT solve.
 
-    ``sub[i]`` couples block row ``i+1`` to block row ``i``; the
-    superdiagonal is its transpose.  Block Cholesky elimination without
-    pivoting across blocks; raises :class:`FactorizationFailure` when a
-    pivot block is not positive-definite.
-    """
-    K = len(diag)
-    X = [None] * K
-    d = [None] * K
-    P = diag[0]
-    for i in range(K):
-        if i:
-            P = diag[i] - sub[i - 1] @ X[i - 1]
-        try:
-            L = np.linalg.cholesky(P)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationFailure(i) from exc
-        factor = (L, True)
-        g = rhs[i] if not i else rhs[i] - sub[i - 1] @ d[i - 1]
-        d[i] = scipy.linalg.cho_solve(factor, g, check_finite=False)
-        if i < K - 1:
-            X[i] = scipy.linalg.cho_solve(factor, sub[i].T, check_finite=False)
-    out = [None] * K
-    out[K - 1] = d[K - 1]
-    for i in range(K - 2, -1, -1):
-        out[i] = d[i] - X[i] @ out[i + 1]
-    return np.array(out)
+    The reduced problem over the ``J-1`` interior links minimizes the summed
+    segment cost-to-go subject to every segment's feasibility rows
+    ``Hx a + Hz z + h1 = 0``.  Its stationarity rows in link ``k`` match the
+    terminal-endpoint multiplier of segment ``k-1`` against the
+    initial-state multiplier of segment ``k``; without feasibility rows they
+    are the whole system.  The unknowns are ordered per link as
+    ``[nu_{k-1}, l_k]``, where ``nu_j`` multiplies segment ``j``'s rows, so
+    every block lies within ``2n + max_rows - 1`` of the diagonal and one
+    LU factorization with partial pivoting restricted to the band (LAPACK
+    ``dgbsv``) costs time and memory linear in ``J``.
 
-
-@dataclasses.dataclass(eq=False, repr=False)
-class LinkSystem:
-    """Block-tridiagonal equations determining the interior link points.
-
-    Row ``k`` matches the terminal-endpoint multiplier of segment ``k``
-    with the initial-state multiplier of segment ``k+1``:
-
-        sub[k-1] lnk_{k-1} + diag[k] lnk_k + sub[k]' lnk_{k+1} + rhs[k] = 0.
-
-    ``links`` and ``residual`` are filled by :meth:`solve`.
-    """
-
-    diag: np.ndarray
-    sub: np.ndarray
-    rhs: np.ndarray
-    links: np.ndarray = None
-    residual: float = None
-
-    def solve(self):
-        # the coefficient matrix is minus the link Hessian of the summed
-        # cost-to-go, so the negated system is symmetric positive-definite
-        try:
-            sol = solve_block_tridiagonal(
-                -self.diag, -self.sub, self.rhs[:, :, None])
-        except FactorizationFailure as exc:
-            raise LinkSingular(str(exc)) from exc
-        self.links = sol[:, :, 0]
-        K = len(self.diag)
-        worst = 0.0
-        for k in range(K):
-            r = self.diag[k] @ self.links[k] + self.rhs[k]
-            if k:
-                r = r + self.sub[k - 1] @ self.links[k - 1]
-            if k < K - 1:
-                r = r + self.sub[k].T @ self.links[k + 1]
-            worst = max(worst, float(np.abs(r).max()))
-        self.residual = worst
-        return self.links
-
-
-def _link_blocks(seg):
-    """(La0, Lz0, l10, Ea, Ez, e1) of one segment's boundary multipliers.
-
-    The initial-state multiplier map is minus the gradient of the segment
-    cost-to-go in its start state, the terminal-endpoint map minus the
-    gradient in the endpoint; both are the boundary blocks of the maps of
-    :func:`parlqr.endpoint.multiplier_pass` whenever the segment's
-    feasibility triple is empty.
-    """
-    if seg["kind"] == "serial":
-        Vxx, vx1 = seg["vf0"]
-        return -Vxx, None, -vx1, None, None, None
-    Vxx, Vzx, Vzz, vx1, vz1 = seg["vf0"]
-    return -Vxx, -Vzx.T, -vx1, -Vzx, -Vzz, -vz1
-
-
-def assemble_link_system(segments, partition, x_init):
-    """Multiplier-matching equations over the ``J-1`` interior link points."""
-    J = partition.J
-    n = x_init.shape[0]
-    diag = np.empty((J - 1, n, n))
-    sub = np.empty((J - 2, n, n)) if J > 2 else np.zeros((0, n, n))
-    rhs = np.empty((J - 1, n))
-    blocks = [_link_blocks(seg) for seg in segments]
-    for k in range(1, J):
-        La_r, _, l1_r, _, _, _ = blocks[k]
-        _, _, _, Ea_l, Ez_l, e1_l = blocks[k - 1]
-        diag[k - 1] = Ez_l + La_r
-        rhs[k - 1] = e1_l + l1_r
-        if k == 1:
-            rhs[k - 1] += Ea_l @ x_init
-        else:
-            sub[k - 2] = Ea_l
-    return LinkSystem(diag, sub, rhs)
-
-
-def _solve_links_with_feasibility(segments, partition, x_init):
-    """Link points for partitions with reachability-deficient segments.
-
-    Solves the reduced problem over the links, minimizing the summed
-    segment cost-to-go subject to every segment's feasibility rows, via
-    its dense KKT system.  Returns ``(links, nus)`` where ``nus[j]`` holds
-    the multipliers of segment ``j``'s feasibility rows.
+    Returns ``(links, nus, residual, rcond)``: ``nus[j]`` holds segment
+    ``j``'s row multipliers (empty for the last segment), ``residual`` is
+    the infinity norm of the solved system's residual and ``rcond`` the
+    reciprocal of the estimated 1-norm condition number.  Raises
+    :class:`LinkSingular` when the factorization fails.
     """
     J = partition.J
     n = x_init.shape[0]
-    nl = (J - 1) * n
-    row_counts = [seg["feas"][0].shape[0] if seg["kind"] == "endpoint" else 0
-                  for seg in segments]
-    offsets = np.concatenate([[0], np.cumsum(row_counts[:-1])]) + nl
-    dim = nl + sum(row_counts)
-    A = np.zeros((dim, dim))
+    rows = [seg["feas"][0].shape[0] for seg in segments[:-1]]
+    starts = np.concatenate([[0], np.cumsum(np.add(rows, n))])
+    nu_at = starts[:-1]           # first unknown of nu_j
+    link_at = nu_at + rows        # first unknown of l_{j+1}
+    dim = int(starts[-1])
+    bw = min(2 * n + max(rows) - 1, dim - 1)
+    # LAPACK band storage: A[i, j] at ab[2 bw + i - j, j]; dgbsv uses the
+    # top bw rows for the fill-in of its row interchanges
+    ab = np.zeros((3 * bw + 1, dim), order="F")
     b = np.zeros(dim)
 
-    def lsl(k):  # slice of interior link k (1-based)
-        return slice((k - 1) * n, k * n)
+    def add(i, j, block):
+        # A[i:, j:] += block, mirrored into A[j:, i:] off the diagonal
+        r, c = block.shape
+        ii = np.arange(i, i + r)[:, None]
+        jj = np.arange(j, j + c)[None, :]
+        ab[2 * bw + ii - jj, jj] += block
+        if i != j:
+            ab[2 * bw + jj.T - ii.T, ii.T] += block.T
 
-    for k in range(1, J):
-        left = segments[k - 1]["vf0"]       # endpoint segment: 5 blocks
-        Vzx_l, Vzz_l, vz1_l = left[1], left[2], left[4]
-        rows = lsl(k)
-        A[rows, rows] += Vzz_l
-        b[rows] -= vz1_l
-        if k == 1:
-            b[rows] -= Vzx_l @ x_init
-        else:
-            A[rows, lsl(k - 1)] += Vzx_l
-        right = segments[k]["vf0"]
-        if segments[k]["kind"] == "serial":
-            Vxx_r, vx1_r = right
-            A[rows, rows] += Vxx_r
-            b[rows] -= vx1_r
-        else:
-            Vxx_r, Vzx_r, _, vx1_r, _ = right
-            A[rows, rows] += Vxx_r
-            b[rows] -= vx1_r
-            if k < J - 1:
-                A[rows, lsl(k + 1)] += Vzx_r.T
     for j, seg in enumerate(segments):
-        r = row_counts[j]
-        if not r:
-            continue
-        Hx, Hz, h1 = seg["feas"]
-        rows = slice(offsets[j], offsets[j] + r)
-        A[rows, lsl(j + 1)] = Hz
-        A[lsl(j + 1), rows] = Hz.T
-        b[rows] = -h1
-        if j == 0:
-            b[rows] -= Hx @ x_init
+        a = link_at[j - 1] if j else None
+        if seg["kind"] == "serial":
+            Vxx, vx1 = seg["vf0"]
         else:
-            A[rows, lsl(j)] = Hx
-            A[lsl(j), rows] = Hx.T
-    try:
-        sol = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise LinkSingular(str(exc)) from exc
-    links = sol[:nl].reshape(J - 1, n)
-    nus = [sol[offsets[j]:offsets[j] + row_counts[j]] for j in range(J)]
-    return links, nus
+            Vxx, Vzx, Vzz, vx1, vz1 = seg["vf0"]
+            Hx, Hz, h1 = seg["feas"]
+            z, nu = link_at[j], nu_at[j]
+            add(z, z, Vzz)
+            b[z:z + n] -= vz1
+            add(nu, z, Hz)
+            b[nu:nu + rows[j]] -= h1
+            if j:
+                add(z, a, Vzx)
+                add(nu, a, Hx)
+            else:
+                b[z:z + n] -= Vzx @ x_init
+                b[nu:nu + rows[j]] -= Hx @ x_init
+        if j:
+            add(a, a, Vxx)
+            b[a:a + n] -= vx1
+
+    lub, piv, x, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, b[:, None])
+    x = x[:, 0]
+    if info or not np.isfinite(x).all():
+        raise LinkSingular(f"link system is singular (dgbsv info {info})")
+    residual = -b
+    for d in range(-bw, bw + 1):  # diagonal i - j = d is row 2 bw + d
+        lo, hi = max(0, -d), min(dim, dim - d)
+        residual[lo + d:hi + d] += ab[2 * bw + d, lo:hi] * x[lo:hi]
+    anorm = float(np.abs(ab).sum(axis=0).max())
+    links = x[link_at[:, None] + np.arange(n)]
+    nus = [x[nu_at[j]:link_at[j]] for j in range(J - 1)] + [np.zeros(0)]
+    return (links, nus, float(np.abs(residual).max()),
+            1.0 / (anorm * _inverse_norm1(lub, piv, bw)))
+
+
+def _inverse_norm1(lub, piv, bw):
+    """Hager's lower estimate of ``||A^-1||_1`` from a banded LU factorization.
+
+    The iteration of LAPACK's ``dlacn2``: a few solves with ``A`` and
+    ``A'``, each linear in the order.  LAPACK's ``dgbcon`` runs the same
+    iteration, but its scaled triangular solves rescan the whole solution at
+    every column of a long band, which is quadratic in the order.
+    """
+    dim = lub.shape[1]
+
+    def solve(v, trans):
+        return scipy.linalg.lapack.dgbtrs(
+            lub, bw, bw, v[:, None], piv, trans=trans)[0][:, 0]
+
+    x = np.full(dim, 1.0 / dim)
+    est = 0.0
+    for _ in range(5):
+        y = solve(x, 0)
+        if np.abs(y).sum() <= est:
+            break
+        est = float(np.abs(y).sum())
+        z = solve(np.where(y < 0, -1.0, 1.0), 1)
+        j = int(np.abs(z).argmax())
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(dim)
+        x[j] = 1.0
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +345,7 @@ class ParallelDetails:
     partition: Partition
     link_points: np.ndarray
     link_residual: float
+    link_rcond: float
     mu_left: np.ndarray
     lambda_right: np.ndarray
     link_mismatch: float
@@ -466,16 +401,8 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
     x_init = problem.x_init
     n, m, T = problem.n, problem.m, problem.T
 
-    degenerate = any(seg["kind"] == "endpoint" and seg["feas"][0].shape[0] > 0
-                     for seg in segments)
-    nus = [np.zeros(0)] * J
-    if degenerate:
-        links, nus = _solve_links_with_feasibility(segments, partition, x_init)
-        link_residual = 0.0
-    else:
-        system = assemble_link_system(segments, partition, x_init)
-        links = system.solve()
-        link_residual = system.residual
+    links, nus, link_residual, link_rcond = _solve_links(
+        segments, partition, x_init)
 
     # per-segment feasibility at the solved links
     feas_residuals = []
@@ -553,6 +480,7 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
             partition=partition,
             link_points=links,
             link_residual=link_residual,
+            link_rcond=link_rcond,
             mu_left=mu_left,
             lambda_right=lambda_right,
             link_mismatch=mismatch,
@@ -561,7 +489,7 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
                 seg["feas"] if seg["kind"] == "endpoint" else None
                 for seg in segments),
             feasibility_residuals=tuple(feas_residuals),
-            degenerate=degenerate,
+            degenerate=any(nu.size for nu in nus),
             segment_diagnostics=tuple(seg.get("diagnostics") for seg in segments),
         ),
     )

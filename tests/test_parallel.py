@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,53 @@ from conftest import (
     tolerance_scale,
     with_control_cost,
 )
+
+
+def link_segments(problem, J):
+    """Balanced partition and its in-process segment results."""
+    part = make_partition(problem.T, J)
+    payloads = parallel._segment_payloads(
+        problem, part, parallel.DEFAULT_TOLERANCES, False)
+    return part, parallel._run_tasks(payloads, workers=1)
+
+
+def dense_link_kkt(segments, x_init):
+    """Dense KKT matrix and right-hand side of the reduced link problem.
+
+    Unknowns: the links ``l_1 .. l_{J-1}``, then the feasibility-row
+    multipliers of each segment in turn.
+    """
+    J, n = len(segments), x_init.shape[0]
+    rows = [seg["feas"][0].shape[0] for seg in segments[:-1]]
+    dim = (J - 1) * n + sum(rows)
+    A, b = np.zeros((dim, dim)), np.zeros(dim)
+
+    def link(k):
+        return slice((k - 1) * n, k * n)
+
+    at = (J - 1) * n
+    for j, seg in enumerate(segments):
+        if seg["kind"] == "serial":
+            Vxx, vx1 = seg["vf0"]
+        else:
+            Vxx, Vzx, Vzz, vx1, vz1 = seg["vf0"]
+            Hx, Hz, h1 = seg["feas"]
+            z, nu = link(j + 1), slice(at, at + rows[j])
+            at += rows[j]
+            A[z, z] += Vzz
+            b[z] -= vz1
+            A[nu, z], A[z, nu] = Hz, Hz.T
+            b[nu] = -h1
+            if j:
+                A[z, link(j)], A[link(j), z] = Vzx, Vzx.T
+                A[nu, link(j)], A[link(j), nu] = Hx, Hx.T
+            else:
+                b[z] -= Vzx @ x_init
+                b[nu] -= Hx @ x_init
+        if j:
+            A[link(j), link(j)] += Vxx
+            b[link(j)] -= vx1
+    return A, b
 
 
 class TestPartition:
@@ -159,19 +207,54 @@ class TestLinkDiagnostics:
 
     def test_link_residual_small(self):
         problem = generate(4, 2, 16, seed=14)
-        part = parallel.make_partition(problem.T, 4)
-        payloads = parallel._segment_payloads(
-            problem, part, parallel.DEFAULT_TOLERANCES, False)
-        segments = parallel._run_tasks(payloads, workers=1)
-        system = parallel.assemble_link_system(segments, part, problem.x_init)
-        assert system.diag.shape == (3, 4, 4)
-        assert system.sub.shape == (2, 4, 4)
-        links = system.solve()
-        assert system.residual <= 1e-9 * (1.0 + np.abs(system.rhs).max())
         ref = serial.solve(problem)
-        for k, tau in enumerate(part.split_times[1:-1]):
-            assert max_deviation(links[k], ref.states[tau]) \
-                <= 1e-8 * tolerance_scale(problem)
+        for J in (4, problem.T):
+            part, segments = link_segments(problem, J)
+            links, _, residual, _ = parallel._solve_links(
+                segments, part, problem.x_init)
+            _, rhs = dense_link_kkt(segments, problem.x_init)
+            assert residual <= 1e-9 * (1.0 + np.abs(rhs).max())
+            for k, tau in enumerate(part.split_times[1:-1]):
+                assert max_deviation(links[k], ref.states[tau]) \
+                    <= 1e-8 * tolerance_scale(problem)
+
+    @pytest.mark.parametrize("n, m, T", [(3, 2, 12), (4, 1, 9)])
+    def test_link_rcond_estimates_dense_condition(self, n, m, T):
+        # (4, 1, 9): length-3 segments reach rank 3 < 4, one feasibility row each
+        problem = generate(n, m, T, seed=21)
+        _, segments = link_segments(problem, 3)
+        dense, _ = dense_link_kkt(segments, problem.x_init)
+        exact = 1.0 / np.linalg.cond(dense, 1)
+        sol = parallel.solve_parallel(problem, J=3, workers=1)
+        assert exact / 10 <= sol.details.link_rcond <= exact * 10
+
+    def test_zero_value_blocks_raise_link_singular(self):
+        n = 2
+        zero, zv = np.zeros((n, n)), np.zeros(n)
+        no_rows = (np.zeros((0, n)), np.zeros((0, n)), np.zeros(0))
+        segments = [
+            {"kind": "endpoint", "vf0": (zero, zero, zero, zv, zv), "feas": no_rows},
+            {"kind": "endpoint", "vf0": (zero, zero, zero, zv, zv), "feas": no_rows},
+            {"kind": "serial", "vf0": (zero, zv)},
+        ]
+        with pytest.raises(LinkSingular):
+            parallel._solve_links(segments, make_partition(6, 3), np.ones(n))
+
+    def test_unit_segments_solve_in_linear_memory(self):
+        # the dense KKT matrix of this partition's link problem alone would
+        # take 102 MB
+        problem = generate(4, 1, 512, seed=7)
+        ref = serial.solve(problem)
+        tracemalloc.start()
+        try:
+            sol = parallel.solve_parallel(problem, J=problem.T, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tol = 1e-8 * tolerance_scale(problem)
+        assert max_deviation(sol.states, ref.states) <= tol
+        assert max_deviation(sol.lambdas, ref.lambdas) <= tol
+        assert peak < 32 * 2**20
 
     def test_repeated_runs_bit_identical_per_worker_count(self):
         problem = generate(5, 2, 24, seed=15)
