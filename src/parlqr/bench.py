@@ -95,8 +95,10 @@ def run_bench(n, m, T_list, J_list, workers_list, repeats=DEFAULT_REPEATS,
     One problem is generated per horizon from ``seed``; rows are emitted in
     a fixed order (serial first, then every ``J x workers`` combination,
     then the dense oracle) so CSV bodies are deterministic apart from the
-    timing column.
+    timing column.  Raises ``ValueError`` when ``repeats`` is below one.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     records = []
     for T in T_list:
         problem = generate(n, m, T, seed)

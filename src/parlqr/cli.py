@@ -1,8 +1,9 @@
 """Command-line front end: solve, generate, demo and bench subcommands.
 
-Exit codes of ``solve``: 0 success, 1 I/O or parse error, 2 endpoint
-constraints infeasible, 3 numerical failure (including invalid problem
-data).
+Exit codes of ``solve``: 0 success, 1 I/O, parse or argument error, 2
+endpoint constraints infeasible, 3 numerical failure (including invalid
+problem data).  Every subcommand reports an argument value the library
+rejects as an ``error:`` line with exit code 1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
+
+
+def _argument_error(exc):
+    """Report an argument value the library rejected with ``ValueError``."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_IO
 
 
 def _cmd_solve(args):
@@ -44,6 +51,8 @@ def _cmd_solve(args):
         else:
             solution = kkt.solve_dense(problem)
         elapsed = time.perf_counter() - tic
+    except ValueError as exc:  # --J outside [1, T]
+        return _argument_error(exc)
     except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -60,9 +69,10 @@ def _cmd_solve(args):
 
 
 def _cmd_generate(args):
-    problem = generate(args.n, args.m, args.T, args.seed)
     try:
-        fileio.save_problem(problem, args.out)
+        fileio.save_problem(generate(args.n, args.m, args.T, args.seed), args.out)
+    except ValueError as exc:
+        return _argument_error(exc)
     except OSError as exc:
         print(f"error: cannot write problem: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -70,9 +80,11 @@ def _cmd_generate(args):
 
 
 def _cmd_demo(args):
-    config = demo.DemoConfig(dt=args.dt, T=args.T, disturbed=args.disturbed)
     try:
+        config = demo.DemoConfig(dt=args.dt, T=args.T, disturbed=args.disturbed)
         summary = demo.run_demo(config, args.out_dir)
+    except ValueError as exc:
+        return _argument_error(exc)
     except OSError as exc:
         print(f"error: cannot write demo output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -81,12 +93,14 @@ def _cmd_demo(args):
 
 
 def _cmd_bench(args):
-    report = bench.run_bench(args.n, args.m, args.T, args.J, args.workers,
-                             repeats=args.repeats, seed=args.seed)
     try:
+        report = bench.run_bench(args.n, args.m, args.T, args.J, args.workers,
+                                 repeats=args.repeats, seed=args.seed)
         report.to_csv(args.out)
         if args.json_out:
             report.to_json(args.json_out)
+    except ValueError as exc:
+        return _argument_error(exc)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -45,6 +45,8 @@ class DemoConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.T < 1:
+            raise ValueError("T must be at least 1")
         if min(self.alpha_t, self.alpha_T, self.beta_t) < 0:
             raise ValueError("cost weights must be nonnegative")
 

@@ -16,14 +16,15 @@ minimizers); the split comes from one rank-revealing SVD of the constraint's
 control Jacobian, which also supplies the pseudo-inverse and the residual
 projector.
 
-Stages with no control direction spent on pending rows (rank ``p = 0``,
-which is every stage once the endpoint rows are absorbed, so the bulk of a
-long sweep) run the stage kernel of the serial sweep: one direct LAPACK
-``dposv`` factor-and-solve of the control Hessian against the right-hand
-side ``[Mux | Mzu' | mu1]`` (:func:`parlqr.serial.stage_gains`), followed
-by the shared cost-to-go update (:func:`parlqr.serial.value_update`).  The
-other stages factor the null-space Hessian ``Zw' Muu Zw`` with the same
-call.
+This is the package's one Riccati sweep.  Stages with no control direction
+spent on pending rows (rank ``p = 0``, the bulk of a long sweep) make one
+LAPACK ``dposv`` factor-and-solve of the control Hessian against
+``[Mux | Mzu' | mu1]`` (:func:`stage_gains`) and the exactly symmetric
+cost-to-go update (:func:`value_update`); the others factor the null-space
+Hessian ``Zw' Muu Zw`` with the same call.  Without endpoint rows
+(``terminal_constrained=False``) the endpoint block has width zero, the
+stages skip its products by testing that width, and the sweep is the plain
+Riccati recursion of :mod:`parlqr.serial`.
 
 Multipliers are by-products of the sweep, as in the serial solver: minus
 the cost-to-go gradient.  Wherever no endpoint row is pending, ``lam_t`` is
@@ -40,8 +41,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
-from .errors import FactorizationFailure, Infeasible
+from .errors import CholeskyFailure, FactorizationFailure, Infeasible
 from .problem import (
     DEFAULT_TOLERANCES,
     AffinePolicy,
@@ -52,7 +54,6 @@ from .problem import (
     evaluate_objective,
     kkt_residual,
 )
-from .serial import stage_gains, value_update
 
 __all__ = [
     "ValueFunction",
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ValueFunction:
     """Cost-to-go quadratic in the state and the terminal endpoint.
 
@@ -82,6 +83,22 @@ class ValueFunction:
     vx1: np.ndarray
     vz1: np.ndarray
     const: float = 0.0
+
+    @classmethod
+    def _from_blocks(cls, Vxx, Vzx, Vzz, vx1, vz1, const):
+        """Sweep-built value: skips the dataclass constructor, as
+        :meth:`AffinePolicy._from_gains` does, because at small dimensions
+        the constructor is a sizeable share of a stage; slotted fields are
+        cheaper to set than instance-dict ones."""
+        value = object.__new__(cls)
+        set_ = object.__setattr__
+        set_(value, "Vxx", Vxx)
+        set_(value, "Vzx", Vzx)
+        set_(value, "Vzz", Vzz)
+        set_(value, "vx1", vx1)
+        set_(value, "vz1", vz1)
+        set_(value, "const", const)
+        return value
 
     def gradient_x(self, x, z):
         return self.Vxx @ x + self.Vzx.T @ z + self.vx1
@@ -111,10 +128,6 @@ class ConstraintToGo:
         if self.rows == 0:
             return np.zeros(0)
         return self.Hx @ x + self.Hz @ z + self.h1
-
-    @classmethod
-    def empty(cls, n):
-        return cls(np.zeros((0, n)), np.zeros((0, n)), np.zeros(0))
 
 
 @dataclasses.dataclass(eq=False, repr=False)
@@ -177,42 +190,76 @@ def _compress_rows(Hx, Hz, h1, rank_tol, scale, cert_scale):
     return Hx_new, Hz_new, h1_new
 
 
+def stage_gains(Muu, rhs, stage):
+    """Gains ``-Muu^{-1} rhs`` from one LAPACK Cholesky factor-and-solve.
+
+    ``dposv`` factors ``Muu`` with no regularization and solves for every
+    column of ``rhs`` at once.  A failed factorization means the problem is
+    not strictly convex at ``stage`` and raises :class:`CholeskyFailure`.
+    The returned gains are read-only, so policies may keep views of them.
+    """
+    _, gains, info = dposv(Muu, rhs)
+    if info:
+        raise CholeskyFailure(stage)
+    np.negative(gains, out=gains)
+    gains.setflags(write=False)
+    return gains
+
+
+def value_update(Muu, rhs, gains):
+    """Stage cost-to-go increment under the control ``u = G @ [y; 1]``.
+
+    ``rhs`` holds the cross terms ``[Muy | mu1]`` between the control and
+    the affine argument ``[y; 1]`` of the cost-to-go, ``y = (x, x_term)``
+    (``y = x`` without an endpoint block), and ``G`` is ``gains``.  Returns
+    ``rhs' G + G' rhs + G' Muu G``, formed as ``G' W + W' G`` with
+    ``W = rhs + Muu G / 2`` so that it is exactly symmetric: its leading
+    block adds to the quadratic coefficients, its last column to the linear
+    ones, and its last entry is twice the constant increment.  The form
+    holds for any gains.
+    """
+    half = gains.T @ (rhs + 0.5 * (Muu @ gains))
+    return half + half.T
+
+
 def backward_pass(stages, terminal=None, *, terminal_constrained=True,
                   tolerances=DEFAULT_TOLERANCES, collect_diagnostics=False):
-    """Backward sweep producing endpoint-conditioned policies.
+    """Riccati sweep producing endpoint-conditioned policies.
 
     ``terminal`` may be None for the pure boundary-value case (zero
     terminal cost).  With ``terminal_constrained=False`` no endpoint rows
-    are seeded and the sweep reduces to the plain Riccati recursion.
+    are seeded and the sweep is the plain Riccati recursion: policies share
+    one zero ``Kz`` and values have zero-width ``Vzx``/``Vzz``/``vz1``.
     Raises :class:`CholeskyFailure` when the cost Hessian restricted to the
     constraint null space is not positive-definite; at rank ``p = 0`` that
-    is the whole control Hessian, factored by the serial stage kernel.
+    is the whole control Hessian.
     """
     T = len(stages)
     n = stages[0][0].n
     m = stages[0][0].m
+    k = n if terminal_constrained else 0  # width of the endpoint block
+    e = n + k  # column of the constant in the affine argument [x | z | 1]
     rank_tol = tolerances.rank_tol
     if terminal is None:
         terminal = TerminalCost.zero(n)
     Vxx = terminal.Qxx
     vx1 = terminal.qx1
-    Vzx = np.zeros((n, n))
-    Vzz = np.zeros((n, n))
-    vz1 = np.zeros(n)
+    Vzx = np.zeros((k, n))
+    Vzz = np.zeros((k, k))
+    vz1 = np.zeros(k)
     const = 0.0
-    if terminal_constrained:
-        Hx, Hz, h1 = np.eye(n), -np.eye(n), np.zeros(n)
-    else:
-        Hx, Hz, h1 = np.zeros((0, n)), np.zeros((0, n)), np.zeros(0)
+    constraint = ConstraintToGo(np.eye(k, n), -np.eye(k), np.zeros(k))
 
     values = [None] * (T + 1)
     constraints = [None] * (T + 1)
     policies = [None] * T
-    values[T] = ValueFunction(Vxx, Vzx, Vzz, vx1, vz1, const)
-    constraints[T] = ConstraintToGo(Hx, Hz, h1)
-    diag = StageDiagnostics(max_rows=Hx.shape[0]) if collect_diagnostics else None
-    eye_m = np.eye(m)
-    rhs = np.empty((m, 2 * n + 1))  # [Mux | Mzu' | mu1], refilled every stage
+    values[T] = ValueFunction._from_blocks(Vxx, Vzx, Vzz, vx1, vz1, const)
+    constraints[T] = constraint
+    r = constraint.rows  # pending rows, updated only where they change
+    diag = StageDiagnostics(max_rows=r) if collect_diagnostics else None
+    zero_kz = np.zeros((m, n))  # Kz of every policy without an endpoint block
+    zero_kz.setflags(write=False)
+    rhs = np.empty((m, e + 1))  # [Mux | Mzu' | mu1], refilled every stage
 
     for t in range(T - 1, -1, -1):
         cost, dyn = stages[t]
@@ -221,16 +268,17 @@ def backward_pass(stages, terminal=None, *, terminal_constrained=True,
         H = F.T @ (Vxx @ F)
         Vf1 = Vxx @ f1
         g = F.T @ (vx1 + Vf1)
-        MzF = Vzx @ F
-        mz1 = vz1 + Vzx @ f1
         np.add(cost.Qux, H[n:, :n], out=rhs[:, :n])
-        rhs[:, n:2 * n] = MzF[:, n:].T
-        np.add(cost.qu1, g[n:], out=rhs[:, 2 * n])
+        if k:
+            MzF = Vzx @ F
+            mz1 = vz1 + Vzx @ f1
+            rhs[:, n:e] = MzF[:, n:].T
+        np.add(cost.qu1, g[n:], out=rhs[:, e])
         Muu = cost.Quu + H[n:, n:]
 
-        r = Hx.shape[0]
         p = 0
         if r:
+            Hx, Hz, h1 = constraint.Hx, constraint.Hz, constraint.h1
             Nx = Hx @ Fx
             Nu = Hx @ Fu
             Nz = Hz
@@ -242,7 +290,7 @@ def backward_pass(stages, terminal=None, *, terminal_constrained=True,
             if s.size:
                 p = int(np.sum(s > rank_tol * max(nu_scale, s[0])))
 
-        # gains stacked as [Kx | Kz | k1], an m x (2n+1) block
+        # gains stacked as [Kx | Kz | k1], an m x (e+1) block
         if not p:
             # no control direction is spent on pending rows: the plain kernel
             gains = stage_gains(Muu, rhs, t)
@@ -256,48 +304,48 @@ def backward_pass(stages, terminal=None, *, terminal_constrained=True,
             else:
                 gains = -base
             gains.setflags(write=False)
-        Kz = gains[:, n:2 * n]
+            if collect_diagnostics:
+                Py, Zfull = Vt[:p].T, Vt[p:].T
+                comp = Py @ Py.T + Zfull @ Zfull.T - np.eye(m)
+                diag.basis_defect = max(diag.basis_defect, float(np.abs(comp).max()))
+        Kz = gains[:, n:e] if k else zero_kz
         policies[t] = AffinePolicy._from_gains(
-            gains[:, :n], Kz, gains[:, 2 * n], bool(Kz.any()))
-
-        if collect_diagnostics:
-            if p:
-                Py = Vt[:p].T
-                Zfull = Vt[p:].T if p < m else np.zeros((m, 0))
-                comp = Py @ Py.T + Zfull @ Zfull.T - eye_m
-            else:
-                comp = np.zeros((m, m))
-            diag.basis_defect = max(diag.basis_defect, float(np.abs(comp).max()))
+            gains[:, :n], Kz, gains[:, e], k > 0 and bool(Kz.any()))
 
         if r:
+            # the rows change only while they are pending; otherwise the
+            # previous constraint-to-go carries over as it is
             pre_scale = float(np.linalg.norm(np.concatenate([Nx, Nz], axis=1)))
             cert_scale = max(1.0, float(np.abs(n1).max(initial=0.0)))
             if p:
                 Up = U[:, :p]
                 stack = np.concatenate([Nx, Nz, n1[:, None]], axis=1)
                 stack = stack - Up @ (Up.T @ stack)
-                Hx, Hz, h1 = stack[:, :n], stack[:, n:2 * n], stack[:, 2 * n]
+                Hx, Hz, h1 = stack[:, :n], stack[:, n:e], stack[:, e]
                 if collect_diagnostics:
                     P = np.eye(r) - Up @ Up.T
                     diag.projector_defect = max(
                         diag.projector_defect, float(np.abs(P @ P - P).max()))
             else:
                 Hx, Hz, h1 = Nx, Nz, n1
-            Hx, Hz, h1 = _compress_rows(Hx, Hz, h1, rank_tol, pre_scale, cert_scale)
+            constraint = ConstraintToGo(
+                *_compress_rows(Hx, Hz, h1, rank_tol, pre_scale, cert_scale))
+            r = constraint.rows
+            if collect_diagnostics:
+                diag.max_rows = max(diag.max_rows, r)
 
         A = value_update(Muu, rhs, gains)
-        const = const + f1 @ (vx1 + 0.5 * Vf1) + 0.5 * A[2 * n, 2 * n]
+        const = const + f1 @ (vx1 + 0.5 * Vf1) + 0.5 * A[e, e]
         Vxx = cost.Qxx + H[:n, :n] + A[:n, :n]
         Vxx = 0.5 * (Vxx + Vxx.T)
-        Vzx = MzF[:, :n] + A[n:2 * n, :n]
-        Vzz = Vzz + A[n:2 * n, n:2 * n]  # both terms exactly symmetric
-        vx1 = cost.qx1 + g[:n] + A[:n, 2 * n]
-        vz1 = mz1 + A[n:2 * n, 2 * n]
+        vx1 = cost.qx1 + g[:n] + A[:n, e]
+        if k:
+            Vzx = MzF[:, :n] + A[n:e, :n]
+            Vzz = Vzz + A[n:e, n:e]  # both terms exactly symmetric
+            vz1 = mz1 + A[n:e, e]
 
-        values[t] = ValueFunction(Vxx, Vzx, Vzz, vx1, vz1, const)
-        constraints[t] = ConstraintToGo(Hx, Hz, h1)
-        if collect_diagnostics:
-            diag.max_rows = max(diag.max_rows, Hx.shape[0])
+        values[t] = ValueFunction._from_blocks(Vxx, Vzx, Vzz, vx1, vz1, const)
+        constraints[t] = constraint
 
     return BackwardResult(tuple(policies), tuple(values), tuple(constraints), diag)
 

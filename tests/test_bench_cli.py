@@ -125,6 +125,28 @@ class TestSolveCommand:
         obj_p = json.loads(out_p.read_text())["objective"]
         assert obj_p == pytest.approx(obj_s, rel=1e-10)
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "{problem}", "--solver", "parallel", "--J", "0",
+         "--out", "{out}"],
+        ["solve", "--problem", "{problem}", "--solver", "parallel", "--J", "9",
+         "--out", "{out}"],
+        ["generate", "--n", "0", "--m", "1", "--T", "5", "--out", "{out}"],
+        ["demo", "--dt", "0", "--out-dir", "{out}"],
+        ["demo", "--T", "0", "--out-dir", "{out}"],
+        ["bench", "--n", "2", "--m", "1", "--T", "6", "--J", "2", "--workers",
+         "1", "--repeats", "0", "--out", "{out}"],
+    ], ids=["J0", "J_past_T", "generate_n0", "demo_dt0", "demo_T0",
+            "bench_repeats0"])
+    def test_bad_argument_is_an_error_line(self, tmp_path, capsys, argv):
+        fill = {"problem": str(self._problem_file(tmp_path)),
+                "out": str(tmp_path / "out")}
+        capsys.readouterr()
+        code = cli.main([arg.format(**fill) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_generate_command_round_trips(self, tmp_path):
         out = tmp_path / "gen.json"
         assert cli.main(["generate", "--n", "2", "--m", "1", "--T", "5",

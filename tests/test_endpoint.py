@@ -25,6 +25,32 @@ def reachable_endpoint(problem, seed, gain=0.3):
     return x
 
 
+def textbook_riccati(problem):
+    """Unconstrained Riccati recursion written out with ``np.linalg.solve``.
+
+    Returns per-stage gains ``(Kx, k1)`` of ``u = Kx x + k1`` and per-time
+    values ``(Vxx, vx1, const)`` of ``1/2 x'Vxx x + vx1'x + const``.
+    """
+    Vxx, vx1, const = problem.terminal.Qxx, problem.terminal.qx1, 0.0
+    values = [(Vxx, vx1, const)]
+    gains = []
+    for cost, dyn in reversed(list(problem.stages)):
+        grad = Vxx @ dyn.f1 + vx1  # gradient of the next value at the drift
+        Mxx = cost.Qxx + dyn.Fx.T @ Vxx @ dyn.Fx
+        Mux = cost.Qux + dyn.Fu.T @ Vxx @ dyn.Fx
+        Muu = cost.Quu + dyn.Fu.T @ Vxx @ dyn.Fu
+        mx1 = cost.qx1 + dyn.Fx.T @ grad
+        mu1 = cost.qu1 + dyn.Fu.T @ grad
+        Kx = -np.linalg.solve(Muu, Mux)
+        k1 = -np.linalg.solve(Muu, mu1)
+        const = const + dyn.f1 @ (vx1 + 0.5 * Vxx @ dyn.f1) + 0.5 * mu1 @ k1
+        Vxx = Mxx + Mux.T @ Kx
+        vx1 = mx1 + Mux.T @ k1
+        gains.append((Kx, k1))
+        values.append((Vxx, vx1, const))
+    return gains[::-1], values[::-1]
+
+
 class TestBackwardPass:
     def test_interpolation_policies_by_hand(self):
         problem = interpolation_problem()
@@ -51,18 +77,27 @@ class TestBackwardPass:
             np.abs(x_free - x_term).max(), abs=1e-9)
 
     def test_without_terminal_rows_reduces_to_serial(self):
+        rng = np.random.default_rng(0)
         for seed in range(20):
             problem = generate(3, 2, 8, seed=300 + seed)
             bw = endpoint.backward_pass(problem.stages, problem.terminal,
                                         terminal_constrained=False)
-            policies, values = serial.backward_pass(problem.stages,
-                                                    problem.terminal)
-            for pe, ps in zip(bw.policies, policies):
-                np.testing.assert_allclose(pe.Kx, ps.Kx, atol=1e-12)
+            gains, values = textbook_riccati(problem)
+            for pe, (Kx, k1) in zip(bw.policies, gains):
+                np.testing.assert_allclose(pe.Kx, Kx, atol=1e-12)
                 np.testing.assert_allclose(pe.Kz, 0.0, atol=1e-12)
-                np.testing.assert_allclose(pe.k1, ps.k1, atol=1e-12)
-            for ve, vs in zip(bw.values, values):
-                np.testing.assert_allclose(ve.Vxx, vs.Vxx, atol=1e-12)
+                np.testing.assert_allclose(pe.k1, k1, atol=1e-12)
+            for ve, (Vxx, vx1, const) in zip(bw.values, values):
+                np.testing.assert_allclose(ve.Vxx, Vxx, atol=1e-12)
+                np.testing.assert_allclose(ve.vx1, vx1, atol=1e-12)
+                assert ve.const == pytest.approx(const, abs=1e-12)
+                # no endpoint: zero-width endpoint blocks, a value in x alone
+                assert ve.Vzx.shape == (0, 3)
+                assert ve.Vzz.shape == (0, 0)
+                assert ve.vz1.shape == (0,)
+                x = rng.standard_normal(3)
+                assert ve.value(x, np.zeros(0)) == pytest.approx(
+                    0.5 * x @ ve.Vxx @ x + ve.vx1 @ x + ve.const, abs=1e-12)
 
     def test_indefinite_stage_without_pending_rows_fails_loudly(self):
         problem = generate(2, 1, 10, seed=21)
