@@ -1,0 +1,151 @@
+"""Compare the solver outputs of two source trees, array by array.
+
+    python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a tree's ``src`` directory, the one holding ``parlqr``.
+Each tree is imported in its own subprocess, which solves a fixed input set
+and saves every output array.  The script then prints, for each array,
+whether the two trees agree bit for bit (``numpy.array_equal``) and the
+largest absolute difference, and, for each tree, whether the partitioned
+solves agree bit for bit across worker counts 1, 2 and 3.  It exits with
+code 1 when any array differs.  The subprocesses inherit the environment,
+so ``OPENBLAS_NUM_THREADS=1 python scripts/compare_outputs.py ...`` compares
+single-threaded BLAS runs.
+
+The inputs, all from ``parlqr.generate(n, m, T, seed)``:
+
+- ``(40, 10, 2048, 41)`` and ``(40, 10, 2048, 91)`` with J=8, the two
+  ``wide`` seeds closest to the benchmark's state limit;
+- ``(40, 10, 64, 5)`` and ``(4, 2, 1024, 1)`` with J=8;
+- ``(4, 1, 256, 3)`` with J=T, whose smoothing pass refines a J=8 solve;
+- ``(3, 2, 40, 7)`` with J=5 and with J=T.
+
+For each input: states, controls, multipliers and policy gains of
+``solve_serial``, of ``solve_parallel`` with 1, 2 and 3 workers and of
+``smooth`` with 1 and 2 workers, the link points, and
+``solve_endpoint_affine`` over the first ``min(256, T)`` stages evaluated
+at the serial solution's state there, with its ``mu``, ``Kz`` and the
+initial value's ``Vzz``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+INPUTS = [  # (n, m, T, seed, J of the solve, J of the solve that smooth refines)
+    (40, 10, 2048, 41, 8, 8),
+    (40, 10, 2048, 91, 8, 8),
+    (40, 10, 64, 5, 8, 8),
+    (4, 2, 1024, 1, 8, 8),
+    (4, 1, 256, 3, 256, 8),
+    (3, 2, 40, 7, 5, 5),
+    (3, 2, 40, 7, 40, 5),
+]
+WORKERS = (1, 2, 3)
+SMOOTH_WORKERS = (1, 2)
+ENDPOINT_T = 256
+
+
+def _solution_arrays(out, prefix, solution):
+    out[f"{prefix}/states"] = solution.states
+    out[f"{prefix}/controls"] = solution.controls
+    out[f"{prefix}/lambdas"] = solution.lambdas
+    out[f"{prefix}/Kx"] = np.stack([p.Kx for p in solution.policies])
+    out[f"{prefix}/k1"] = np.stack([p.k1 for p in solution.policies])
+
+
+def dump(path):
+    """Solve every input with the ``parlqr`` on ``sys.path``; save to ``path``."""
+    import parlqr
+
+    out = {}
+    try:
+        for n, m, T, seed, J, smooth_J in INPUTS:
+            problem = parlqr.generate(n, m, T, seed)
+            name = f"generate({n},{m},{T},{seed}) J={J}"
+            serial = parlqr.solve_serial(problem)
+            _solution_arrays(out, f"{name}/serial", serial)
+            for w in WORKERS:
+                sol = parlqr.solve_parallel(problem, J, workers=w)
+                _solution_arrays(out, f"{name}/parallel w{w}", sol)
+                out[f"{name}/parallel w{w}/links"] = sol.details.link_points
+            for w in SMOOTH_WORKERS:
+                base = parlqr.solve_parallel(problem, smooth_J, workers=w)
+                _solution_arrays(out, f"{name}/smooth w{w}",
+                                 parlqr.smooth(problem, base, workers=w))
+            k = min(ENDPOINT_T, T)
+            head = parlqr.LqrProblem(problem.stages[:k], problem.terminal,
+                                     problem.x_init)
+            affine = parlqr.solve_endpoint_affine(head)
+            sol = affine.evaluate(problem.x_init, serial.states[k])
+            _solution_arrays(out, f"{name}/endpoint", sol)
+            out[f"{name}/endpoint/mu"] = sol.mu
+            out[f"{name}/endpoint/Kz"] = np.stack([p.Kz for p in affine.policies])
+            out[f"{name}/endpoint/Vzz0"] = affine.values[0].Vzz
+    finally:
+        parlqr.parallel.shutdown_pools()
+    np.savez(path, **out)
+
+
+def _load(src, directory, label):
+    path = os.path.join(directory, f"{label}.npz")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", path],
+                   env=env, check=True)
+    with np.load(path) as arrays:
+        return {key: arrays[key] for key in arrays.files}
+
+
+def _gap(a, b):
+    if a.shape != b.shape:
+        return float("inf")
+    return float(np.abs(a - b).max(initial=0.0))
+
+
+def compare(parent_src, change_src):
+    with tempfile.TemporaryDirectory() as directory:
+        parent = _load(parent_src, directory, "parent")
+        change = _load(change_src, directory, "change")
+    differ = 0
+    print(f"{'equal':>5}  {'max |diff|':>10}  array")
+    for key in sorted(set(parent) | set(change)):
+        if key not in parent or key not in change:
+            print(f"{'-':>5}  {'-':>10}  {key} (only in "
+                  f"{'parent' if key in parent else 'change'})")
+            differ += 1
+            continue
+        equal = np.array_equal(parent[key], change[key])
+        differ += not equal
+        print(f"{str(equal):>5}  {_gap(parent[key], change[key]):10.3e}  {key}")
+    print(f"# parent against change: {differ} of "
+          f"{len(set(parent) | set(change))} arrays differ")
+    for label, arrays in (("parent", parent), ("change", change)):
+        split = [key for key in arrays if "/parallel w1/" in key]
+        uneven = [key.replace(" w1/", f" w{w}/") for key in split for w in WORKERS[1:]
+                  if not np.array_equal(arrays[key],
+                                        arrays[key.replace(" w1/", f" w{w}/")])]
+        print(f"# {label}: parallel outputs across workers {WORKERS}: "
+              f"{len(uneven)} of {len(split) * (len(WORKERS) - 1)} arrays differ "
+              "from one worker's")
+        for key in uneven:
+            print(f"#   {key}")
+    return 1 if differ else 0
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "--dump":  # the subprocess of one tree
+        dump(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    return compare(*argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

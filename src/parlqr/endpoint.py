@@ -16,15 +16,17 @@ minimizers); the split comes from one rank-revealing SVD of the constraint's
 control Jacobian, which also supplies the pseudo-inverse and the residual
 projector.
 
-This is the package's one Riccati sweep.  Stages with no control direction
+This is the package's one Riccati sweep (:func:`sweep_segments`): it runs
+segments of one stage stack in lockstep, one batched product per backward
+step, each slice rounding as its segment swept alone; :func:`backward_pass`
+is the lone segment, on 2-D arrays.  Stages with no control direction
 spent on pending rows (rank ``p = 0``, the bulk of a long sweep) make one
 LAPACK ``dposv`` factor-and-solve of the control Hessian against
 ``[Mux | Mzu' | mu1]`` (:func:`stage_gains`) and the exactly symmetric
-cost-to-go update (:func:`value_update`); the others factor the null-space
-Hessian ``Zw' Muu Zw`` with the same call.  Without endpoint rows
-(``terminal_constrained=False``) the endpoint block has width zero, the
-stages skip its products by testing that width, and the sweep is the plain
-Riccati recursion of :mod:`parlqr.serial`.
+cost-to-go update (:func:`value_update`); the others factor the
+null-space Hessian ``Zw' Muu Zw`` with the same call.  Without endpoint
+rows the endpoint block has width zero and the sweep is the plain Riccati
+recursion of :mod:`parlqr.serial`.
 
 Multipliers are by-products of the sweep, as in the serial solver: minus
 the cost-to-go gradient.  Wherever no endpoint row is pending, ``lam_t`` is
@@ -63,6 +65,7 @@ __all__ = [
     "MultiplierMaps",
     "EndpointAffineSolution",
     "backward_pass",
+    "sweep_segments",
     "forward_pass",
     "multiplier_pass",
     "solve_endpoint_affine",
@@ -152,55 +155,66 @@ class BackwardResult:
         return self.constraints[0]
 
 
+def _norms(X):
+    """Frobenius norm of each slice, rounded as ``np.linalg.norm`` of one."""
+    flat = X.reshape(len(X), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 def _compress_rows(Hx, Hz, h1, rank_tol, scale, cert_scale):
     """Reduce constraint rows to a maximal linearly independent set.
 
-    Singular values are thresholded against ``scale``, the magnitude of
-    the rows *before* the range-space projection, so directions that the
-    projection annihilated in exact arithmetic are dropped instead of
-    surviving as roundoff noise.  Any component of ``h1`` outside the
-    retained row space is kept as a single zero-coefficient row, an
-    infeasibility certificate that propagates to the feasibility triple.
-    Rows that are already independent at full scale are returned untouched
-    so residual entries keep their original meaning.
+    Batched over segments with equal row counts; yields ``(positions, Hx,
+    Hz, h1)`` per resulting row count.  Singular values are thresholded
+    against ``scale``, the magnitude of the rows *before* the range-space
+    projection, so directions that the projection annihilated in exact
+    arithmetic are dropped instead of surviving as roundoff noise.  Any
+    component of ``h1`` outside the retained row space is kept as a single
+    zero-coefficient row, an infeasibility certificate that propagates to
+    the feasibility triple.  Rows that are already independent at full
+    scale are returned untouched so residual entries keep their meaning.
     """
-    r = Hx.shape[0]
-    if r == 0:
-        return Hx, Hz, h1
-    C = np.concatenate([Hx, Hz], axis=1)
-    U, s, _ = np.linalg.svd(C, full_matrices=False)
-    threshold = rank_tol * max(scale, s[0] if s.size else 0.0)
-    q = int(np.sum(s > threshold))
-    if q == r:
-        return Hx, Hz, h1
-    Uq = U[:, :q]
-    n = Hx.shape[1]
-    if q:
-        body = Uq.T @ np.concatenate([Hx, Hz, h1[:, None]], axis=1)
-        Hx_new, Hz_new, h1_new = body[:, :n], body[:, n:2 * n], body[:, 2 * n]
-        leftover = h1 - Uq @ (Uq.T @ h1)
-    else:
-        Hx_new, Hz_new, h1_new = np.zeros((0, n)), np.zeros((0, n)), np.zeros(0)
-        leftover = h1
-    resid = float(np.linalg.norm(leftover))
-    if resid > rank_tol * cert_scale:
-        Hx_new = np.concatenate([Hx_new, np.zeros((1, n))], axis=0)
-        Hz_new = np.concatenate([Hz_new, np.zeros((1, n))], axis=0)
-        h1_new = np.concatenate([h1_new, [resid]])
-    return Hx_new, Hz_new, h1_new
+    r, n = Hx.shape[1:]
+    U, s, _ = np.linalg.svd(np.concatenate([Hx, Hz], axis=2), full_matrices=False)
+    ranks = np.count_nonzero(s > (rank_tol * np.maximum(scale, s[:, 0]))[:, None], axis=1)
+    for q in np.unique(ranks):
+        at = np.flatnonzero(ranks == q)
+        if q == r:
+            yield at, Hx[at], Hz[at], h1[at]
+            continue
+        h, Uq = h1[at], U[at][:, :, :q]
+        body = Uq.mT @ np.concatenate([Hx[at], Hz[at], h[:, :, None]], axis=2)
+        leftover = h - np.matvec(Uq, np.matvec(Uq.mT, h))
+        resid = np.sqrt(np.vecdot(leftover, leftover))
+        certified = resid > rank_tol * cert_scale[at]
+        for flag in np.unique(certified):
+            sub = np.flatnonzero(certified == flag)
+            rows = body[sub]
+            if flag:
+                rows = np.concatenate([rows, np.zeros_like(rows[:, :1])], axis=1)
+                rows[:, -1, -1] = resid[sub]
+            yield at[sub], rows[:, :, :n], rows[:, :, n:-1], rows[:, :, -1]
 
 
-def stage_gains(Muu, rhs, stage):
-    """Gains ``-Muu^{-1} rhs`` from one LAPACK Cholesky factor-and-solve.
+def stage_gains(Muu, rhs, stages):
+    """Gains ``-Muu^{-1} rhs``, one LAPACK ``dposv`` per slice of a batch.
 
     ``dposv`` factors ``Muu`` with no regularization and solves for every
     column of ``rhs`` at once.  A failed factorization means the problem is
-    not strictly convex at ``stage`` and raises :class:`CholeskyFailure`.
-    The returned gains are read-only, so policies may keep views of them.
+    not strictly convex at that stage (of the indices ``stages``) and raises
+    :class:`CholeskyFailure`.  The read-only gains keep the Fortran order of
+    ``dposv``, on which the rounding of later products depends.
     """
-    _, gains, info = dposv(Muu, rhs)
-    if info:
-        raise CholeskyFailure(stage)
+    if rhs.ndim == 2:  # a lone segment keeps dposv's own array
+        _, gains, info = dposv(Muu, rhs)
+        failed = info and [stages]
+    else:
+        gains, failed = np.empty((len(rhs),) + rhs.shape[:0:-1]).mT, []
+        for b, stage in enumerate(stages):
+            _, gains[b], info = dposv(Muu[b], rhs[b])
+            failed += [stage] if info else []
+    if failed:
+        raise CholeskyFailure(int(failed[0]))
     np.negative(gains, out=gains)
     gains.setflags(write=False)
     return gains
@@ -211,143 +225,226 @@ def value_update(Muu, rhs, gains):
 
     ``rhs`` holds the cross terms ``[Muy | mu1]`` between the control and
     the affine argument ``[y; 1]`` of the cost-to-go, ``y = (x, x_term)``
-    (``y = x`` without an endpoint block), and ``G`` is ``gains``.  Returns
-    ``rhs' G + G' rhs + G' Muu G``, formed as ``G' W + W' G`` with
-    ``W = rhs + Muu G / 2`` so that it is exactly symmetric: its leading
-    block adds to the quadratic coefficients, its last column to the linear
-    ones, and its last entry is twice the constant increment.  The form
-    holds for any gains.
+    (``y = x`` without an endpoint block), and ``G`` is ``gains``; all may
+    carry a leading batch axis.  Returns ``rhs' G + G' rhs + G' Muu G``,
+    formed as ``G' W + W' G`` with ``W = rhs + Muu G / 2`` so that it is
+    exactly symmetric: its leading block adds to the quadratic
+    coefficients, its last column to the linear ones, and its last entry is
+    twice the constant increment.  The form holds for any gains.
     """
-    half = gains.T @ (rhs + 0.5 * (Muu @ gains))
-    return half + half.T
+    half = gains.mT @ (rhs + 0.5 * (Muu @ gains))
+    return half + half.mT
+
+
+def _pending_rows(groups, Fx, Fu, f1, Muu, rhs, where, rank_tol, diag):
+    """Kernel of a ``(B, ...)`` step for segments with pending rows: gains per
+    rank above zero, the groups pending after it, the mask left to dposv."""
+    m, n, e = Muu.shape[1], Fx.shape[1], rhs.shape[2] - 1
+    parts, pending, plain = [], [], np.ones(len(Muu), bool)
+    for at, Hx, Hz, h1 in groups:
+        live = at < len(Muu)  # the segments that have not ended
+        at, Hx, Hz, h1 = at[live], Hx[live], Hz[live], h1[live]
+        if not at.size:
+            continue
+        Nx, Nu, n1 = Hx @ Fx[at], Hx @ Fu[at], np.matvec(Hx, f1[at]) + h1
+        U, s, Vt = np.linalg.svd(Nu)
+        # rank judged against the product of the factor norms: entries of
+        # Nu that are pure cancellation noise must not be inverted
+        nu_scale = _norms(Hx) * _norms(Fu[at])
+        threshold = rank_tol * np.maximum(nu_scale, s[:, 0])
+        ranks = np.count_nonzero(s > threshold[:, None], axis=1)
+        stack = np.concatenate([Nx, Hz, n1[:, :, None]], axis=2)
+        pre_scale = _norms(stack[:, :, :e])
+        cert_scale = np.maximum(1.0, np.abs(n1).max(axis=1, initial=0.0))
+        for p in np.unique(ranks):
+            sub = np.flatnonzero(ranks == p)
+            who, rows = at[sub], stack[sub]
+            if p:
+                Us, Vs, Zw, M = U[sub], Vt[sub], Vt[sub][:, p:].mT, Muu[who]
+                base = (Vs[:, :p].mT / s[sub][:, None, :p]) @ Us[:, :, :p].mT @ rows
+                gains = -base if p == m else Zw @ stage_gains(
+                    Zw.mT @ M @ Zw, Zw.mT @ (rhs[who] - M @ base), where[who]) - base
+                gains.setflags(write=False)
+                parts.append((who, gains))
+                plain[who] = False
+                Up = Us[:, :, :p]
+                rows = rows - Up @ (Up.mT @ rows)
+                if diag is not None:
+                    Py, P = Vs[:, :p].mT, np.eye(Up.shape[1]) - Up @ Up.mT
+                    defects = (Py @ Py.mT + Zw @ Zw.mT - np.eye(m), P @ P - P)
+                    for worst, new in zip(diag, defects):
+                        worst[who] = np.maximum(worst[who], np.abs(new).max(axis=(1, 2)))
+            pending.extend((who[kept], *new) for kept, *new in _compress_rows(
+                rows[:, :, :n], rows[:, :, n:e], rows[:, :, e], rank_tol,
+                pre_scale[sub], cert_scale[sub]) if new[2].shape[1])
+    return parts, pending, plain
+
+
+def lockstep(splits, forward=False):
+    """Lockstep plan over the segments ``[splits[b], splits[b+1])``: the held
+    order, longest first, and per step ``(B, rows)``, the first ``B`` held
+    segments at their stages ``rows`` (a slice where evenly spaced), the
+    ``i``-th from their ends or, with ``forward``, from their starts."""
+    lengths = np.diff(splits)
+    order = np.argsort(-lengths, kind="stable")
+    held = np.append(lengths[order], 0)
+    anchor = (np.asarray(splits[:-1]) if forward else np.asarray(splits[1:]) - 1)[order]
+    sign, plan = (1 if forward else -1), []
+    for B in range(len(order), 0, -1):  # steps held[B] .. held[B-1]-1 run B
+        gap = np.diff(anchor[:B])
+        even = B == 1 or (gap[0] > 0 and (gap == gap[0]).all())
+        for i in range(held[B], held[B - 1]):
+            first, last = anchor[0] + sign * i, anchor[B - 1] + sign * i
+            plan.append((B, slice(first, last + 1, gap[0] if B > 1 else 1) if even
+                         else anchor[:B] + sign * i))
+    return order, plan
+
+
+def sweep_segments(stages, splits, Qxx_T, qx1_T, k, tolerances=DEFAULT_TOLERANCES,
+                   collect_diagnostics=False):
+    """Lockstep Riccati sweeps of the segments ``stages[splits[b]:splits[b+1]]``.
+
+    Each runs back from its terminal cost ``(Qxx_T[b], qx1_T[b])`` with
+    ``k = n`` endpoint rows seeded at its end or none; a lone segment runs
+    on 2-D arrays.  Returns the held order (:func:`lockstep`), per-segment
+    :class:`StageDiagnostics` or None, and per step the stages, ``(positions,
+    [Kx | Kz | k1])`` per kernel, ``(positions, Hx, Hz, h1)`` per group of
+    rows pending after it and, where a segment starts or for a lone one (else
+    None), the values ``(Vxx, Vzx, Vzz, vx1, vz1, const)``.
+    """
+    n, m, e = stages.Qxx.shape[1], stages.Quu.shape[1], stages.Qxx.shape[1] + k
+    lone = len(splits) == 2
+    order, plan = (np.zeros(1, int), [(1, t) for t in reversed(range(*splits))]
+                   ) if lone else lockstep(splits)
+    B = len(order)
+    lead = () if lone else (B,)
+    Vxx, vx1 = (Qxx_T[0], qx1_T[0]) if lone else (Qxx_T[order], qx1_T[order])
+    Vzx, Vzz, vz1 = (np.zeros(lead + shape) for shape in ((k, n), (k, k), (k,)))
+    const = 0.0 if lone else np.zeros(B)
+    groups = [(np.arange(B), np.tile(np.eye(k, n), (B, 1, 1)),
+               np.tile(-np.eye(k), (B, 1, 1)), np.zeros((B, k)))] if k else []
+    diag = (np.zeros(B), np.zeros(B)) if collect_diagnostics else None
+    stage_index = np.arange(len(stages))
+    rhs = rhs_all = np.empty(lead + (m, e + 1))  # [Mux | Mzu' | mu1], refilled every step
+    steps = []
+
+    for i, (B, rows) in enumerate(plan):
+        if lone:
+            (cost, dyn), where = stages[rows], rows
+        else:
+            cost = dyn = stages[rows]
+            rhs, where = rhs_all[:B], stage_index[rows]
+            Vxx, Vzx, Vzz, vx1, vz1, const = (
+                block[:B] for block in (Vxx, Vzx, Vzz, vx1, vz1, const))
+        Fx, Fu, f1 = dyn.Fx, dyn.Fu, dyn.f1
+        F = np.concatenate((Fx, Fu), axis=-1)
+        H = F.mT @ (Vxx @ F)
+        Vf1 = np.matvec(Vxx, f1)
+        g = np.matvec(F.mT, vx1 + Vf1)
+        np.add(cost.Qux, H[..., n:, :n], out=rhs[..., :n])
+        if k:
+            MzF = Vzx @ F
+            mz1 = vz1 + np.matvec(Vzx, f1)
+            rhs[..., n:e] = MzF[..., n:].mT
+        np.add(cost.qu1, g[..., n:], out=rhs[..., e])
+        Muu = cost.Quu + H[..., n:, n:]
+
+        # gains stacked as [Kx | Kz | k1], an m x (e+1) block per segment
+        if not groups:
+            gains = stage_gains(Muu, rhs, where)
+            parts = (((), gains),)
+            A = value_update(Muu, rhs, gains)
+        else:
+            batch = (Fx, Fu, f1, Muu, rhs)
+            parts, groups, plain = _pending_rows(
+                groups, *(a[None] for a in batch) if lone else batch,
+                np.atleast_1d(where), tolerances.rank_tol, diag)
+            parts = [((), gains[0]) for _, gains in parts] if lone else parts
+            if plain.any():
+                at = () if lone else np.flatnonzero(plain)
+                parts.append((at, stage_gains(Muu[at], rhs[at], np.atleast_1d(where)[at])))
+            A = np.empty(Muu.shape[:-2] + (e + 1, e + 1))
+            for at, gains in parts:
+                A[at] = value_update(Muu[at], rhs[at], gains)
+
+        const = const + np.vecdot(f1, vx1 + 0.5 * Vf1) + 0.5 * A[..., e, e]
+        Vxx = cost.Qxx + H[..., :n, :n] + A[..., :n, :n]
+        Vxx = 0.5 * (Vxx + Vxx.mT)
+        vx1 = cost.qx1 + g[..., :n] + A[..., :n, e]
+        if k:
+            Vzx = MzF[..., :n] + A[..., n:e, :n]
+            Vzz = Vzz + A[..., n:e, n:e]  # both terms exactly symmetric
+            vz1 = mz1 + A[..., n:e, e]
+        last = lone or i + 1 == len(plan) or plan[i + 1][0] < B
+        steps.append((rows, parts, groups, (Vxx, Vzx, Vzz, vx1, vz1, const) if last else None))
+
+    # rows never grow as a sweep goes back, so the most rows seen are its k
+    diagnostics = [None] * len(order) if diag is None else [
+        StageDiagnostics(float(basis), float(projector), k) for basis, projector in zip(*diag)]
+    return order, [diagnostics[b] for b in np.argsort(order)], steps
+
+
+def _constraint(groups, b, n, k):
+    """The rows pending for held segment ``b`` in a step's ``groups``."""
+    for at, Hx, Hz, h1 in groups:
+        for g in np.flatnonzero(at == b):
+            return ConstraintToGo(Hx[g], Hz[g], h1[g])
+    return ConstraintToGo(np.zeros((0, n)), np.zeros((0, k)), np.zeros(0))
+
+
+def segment_ends(splits, order, steps):
+    """A :func:`sweep_segments` batch's gains, stacked in stage order, and per
+    segment ``(Vxx, Vzx, Vzz, vx1, vz1)`` at its start and its feasibility rows."""
+    n, k = steps[-1][3][0].shape[-1], steps[-1][3][1].shape[-2]
+    gains = np.empty((splits[-1] - splits[0],) + steps[0][1][0][1].shape[-2:])
+    local = np.arange(splits[-1]) - splits[0]
+    for rows, parts, _, _ in steps:
+        for at, block in parts:
+            gains[local[rows][at]] = block
+    ends = [(steps[length - 1], b) for length, b in zip(np.diff(splits), np.argsort(order))]
+    lone = len(order) == 1
+    return (gains, tuple(np.stack([step[3][i][() if lone else b] for step, b in ends])
+                         for i in range(5)),
+            tuple(_constraint(step[2], b, n, k) for step, b in ends))
 
 
 def backward_pass(stages, terminal=None, *, terminal_constrained=True,
                   tolerances=DEFAULT_TOLERANCES, collect_diagnostics=False):
     """Riccati sweep producing endpoint-conditioned policies.
 
-    ``terminal`` may be None for the pure boundary-value case (zero
-    terminal cost).  With ``terminal_constrained=False`` no endpoint rows
-    are seeded and the sweep is the plain Riccati recursion: policies share
-    one zero ``Kz`` and values have zero-width ``Vzx``/``Vzz``/``vz1``.
-    Raises :class:`CholeskyFailure` when the cost Hessian restricted to the
+    :func:`sweep_segments` of one segment.  ``terminal`` may be None for the
+    pure boundary-value case (zero terminal cost).  With
+    ``terminal_constrained=False`` no endpoint rows are seeded and the
+    sweep is the plain Riccati recursion: policies share one zero ``Kz``
+    and values have zero-width ``Vzx``/``Vzz``/``vz1``.  Raises
+    :class:`CholeskyFailure` when the cost Hessian restricted to the
     constraint null space is not positive-definite; at rank ``p = 0`` that
     is the whole control Hessian.
     """
-    T = len(stages)
-    n = stages[0][0].n
-    m = stages[0][0].m
-    k = n if terminal_constrained else 0  # width of the endpoint block
-    e = n + k  # column of the constant in the affine argument [x | z | 1]
-    rank_tol = tolerances.rank_tol
-    if terminal is None:
-        terminal = TerminalCost.zero(n)
-    Vxx = terminal.Qxx
-    vx1 = terminal.qx1
-    Vzx = np.zeros((k, n))
-    Vzz = np.zeros((k, k))
-    vz1 = np.zeros(k)
-    const = 0.0
-    constraint = ConstraintToGo(np.eye(k, n), -np.eye(k), np.zeros(k))
-
-    values = [None] * (T + 1)
-    constraints = [None] * (T + 1)
-    policies = [None] * T
-    values[T] = ValueFunction._from_blocks(Vxx, Vzx, Vzz, vx1, vz1, const)
-    constraints[T] = constraint
-    r = constraint.rows  # pending rows, updated only where they change
-    diag = StageDiagnostics(max_rows=r) if collect_diagnostics else None
+    if not isinstance(stages, StageStack):
+        stages = StageStack.from_pairs(stages)
+    T, n, m = len(stages), stages.Qxx.shape[1], stages.Quu.shape[1]
+    terminal = TerminalCost.zero(n) if terminal is None else terminal
+    k = n if terminal_constrained else 0
+    _, (diagnostics,), steps = sweep_segments(
+        stages, (0, T), terminal.Qxx[None], terminal.qx1[None], k, tolerances,
+        collect_diagnostics)
+    policies, values, constraints = [None] * T, [None] * (T + 1), [None] * (T + 1)
+    values[T] = ValueFunction._from_blocks(terminal.Qxx, np.zeros((k, n)), np.zeros((k, k)),
+                                           terminal.qx1, np.zeros(k), 0.0)
+    constraint = constraints[T] = ConstraintToGo(np.eye(k, n), -np.eye(k), np.zeros(k))
     zero_kz = np.zeros((m, n))  # Kz of every policy without an endpoint block
     zero_kz.setflags(write=False)
-    rhs = np.empty((m, e + 1))  # [Mux | Mzu' | mu1], refilled every stage
-
-    for t in range(T - 1, -1, -1):
-        cost, dyn = stages[t]
-        Fx, Fu, f1 = dyn.Fx, dyn.Fu, dyn.f1
-        F = np.concatenate((Fx, Fu), axis=1)
-        H = F.T @ (Vxx @ F)
-        Vf1 = Vxx @ f1
-        g = F.T @ (vx1 + Vf1)
-        np.add(cost.Qux, H[n:, :n], out=rhs[:, :n])
-        if k:
-            MzF = Vzx @ F
-            mz1 = vz1 + Vzx @ f1
-            rhs[:, n:e] = MzF[:, n:].T
-        np.add(cost.qu1, g[n:], out=rhs[:, e])
-        Muu = cost.Quu + H[n:, n:]
-
-        p = 0
-        if r:
-            Hx, Hz, h1 = constraint.Hx, constraint.Hz, constraint.h1
-            Nx = Hx @ Fx
-            Nu = Hx @ Fu
-            Nz = Hz
-            n1 = Hx @ f1 + h1
-            U, s, Vt = np.linalg.svd(Nu)
-            # rank judged against the product of the factor norms: entries of
-            # Nu that are pure cancellation noise must not be inverted
-            nu_scale = float(np.linalg.norm(Hx)) * float(np.linalg.norm(Fu))
-            if s.size:
-                p = int(np.sum(s > rank_tol * max(nu_scale, s[0])))
-
-        # gains stacked as [Kx | Kz | k1], an m x (e+1) block
-        if not p:
-            # no control direction is spent on pending rows: the plain kernel
-            gains = stage_gains(Muu, rhs, t)
-        else:
-            G = (Vt[:p].T / s[:p]) @ U[:, :p].T
-            base = G @ np.concatenate([Nx, Nz, n1[:, None]], axis=1)
-            if p < m:
-                Zw = Vt[p:].T
-                gains = Zw @ stage_gains(
-                    Zw.T @ Muu @ Zw, Zw.T @ (rhs - Muu @ base), t) - base
-            else:
-                gains = -base
-            gains.setflags(write=False)
-            if collect_diagnostics:
-                Py, Zfull = Vt[:p].T, Vt[p:].T
-                comp = Py @ Py.T + Zfull @ Zfull.T - np.eye(m)
-                diag.basis_defect = max(diag.basis_defect, float(np.abs(comp).max()))
-        Kz = gains[:, n:e] if k else zero_kz
+    rows = constraint.rows  # pending rows, updated only where they change
+    for t, (_, ((_, gains),), groups, value) in zip(range(T - 1, -1, -1), steps):
+        Kz = gains[:, n:n + k] if k else zero_kz
         policies[t] = AffinePolicy._from_gains(
-            gains[:, :n], Kz, gains[:, e], k > 0 and bool(Kz.any()))
-
-        if r:
-            # the rows change only while they are pending; otherwise the
-            # previous constraint-to-go carries over as it is
-            pre_scale = float(np.linalg.norm(np.concatenate([Nx, Nz], axis=1)))
-            cert_scale = max(1.0, float(np.abs(n1).max(initial=0.0)))
-            if p:
-                Up = U[:, :p]
-                stack = np.concatenate([Nx, Nz, n1[:, None]], axis=1)
-                stack = stack - Up @ (Up.T @ stack)
-                Hx, Hz, h1 = stack[:, :n], stack[:, n:e], stack[:, e]
-                if collect_diagnostics:
-                    P = np.eye(r) - Up @ Up.T
-                    diag.projector_defect = max(
-                        diag.projector_defect, float(np.abs(P @ P - P).max()))
-            else:
-                Hx, Hz, h1 = Nx, Nz, n1
-            constraint = ConstraintToGo(
-                *_compress_rows(Hx, Hz, h1, rank_tol, pre_scale, cert_scale))
-            r = constraint.rows
-            if collect_diagnostics:
-                diag.max_rows = max(diag.max_rows, r)
-
-        A = value_update(Muu, rhs, gains)
-        const = const + f1 @ (vx1 + 0.5 * Vf1) + 0.5 * A[e, e]
-        Vxx = cost.Qxx + H[:n, :n] + A[:n, :n]
-        Vxx = 0.5 * (Vxx + Vxx.T)
-        vx1 = cost.qx1 + g[:n] + A[:n, e]
-        if k:
-            Vzx = MzF[:, :n] + A[n:e, :n]
-            Vzz = Vzz + A[n:e, n:e]  # both terms exactly symmetric
-            vz1 = mz1 + A[n:e, e]
-
-        values[t] = ValueFunction._from_blocks(Vxx, Vzx, Vzz, vx1, vz1, const)
+            gains[:, :n], Kz, gains[:, -1], k > 0 and bool(Kz.any()))
+        values[t] = ValueFunction._from_blocks(*value)
+        if rows:
+            rows = (constraint := _constraint(groups, 0, n, k)).rows
         constraints[t] = constraint
-
-    return BackwardResult(tuple(policies), tuple(values), tuple(constraints), diag)
+    return BackwardResult(tuple(policies), tuple(values), tuple(constraints), diagnostics)
 
 
 @dataclasses.dataclass(frozen=True, eq=False, repr=False)

@@ -23,18 +23,17 @@ state and the endpoint of a segment, corrected by the feasibility-row
 multipliers; interior multipliers then follow the stationarity recursion
 within each segment.
 
-Each segment's payload carries ``problem.stages[lo:hi]``, a
-:class:`parlqr.problem.StageStack` slice whose stage pairs are views into
-the problem's stacked ``(T, ...)`` coefficient arrays.  It pickles as one
-contiguous buffer per coefficient, holding only the segment's stages, and
-the worker sweeps it through the same views.
+Each worker takes a contiguous run of segments, the calling process the
+first; the pool gets the others as :class:`parlqr.problem.StageStack`
+slices.  A batch of segments is one lockstep sweep
+(:func:`parlqr.endpoint.sweep_segments`), and the reconstruction is lockstep
+too; a segment's bits do not depend on its batch or worker count.
 """
 
 from __future__ import annotations
 
 import atexit
 import concurrent.futures
-import copy
 import dataclasses
 import multiprocessing
 import os
@@ -54,6 +53,7 @@ from .problem import (
     DEFAULT_TOLERANCES,
     AffinePolicy,
     LqrSolution,
+    StageStack,
     TerminalCost,
     evaluate_objective,
     kkt_residual,
@@ -70,6 +70,10 @@ __all__ = [
 ]
 
 WORKERS_ENV_VAR = "PAR_RICCATI_WORKERS"
+
+# Most stage data, in bytes, in one task sent to a pool process: a task is
+# pickled whole on either side, and the next arrives while a worker sweeps
+TASK_BYTES = 8 * 2**20
 
 # Feasibility slack at solved link points, relative to ``feas_tol``.  The
 # endpoint solver checks endpoints the caller gave exactly; link points come
@@ -151,72 +155,79 @@ def shutdown_pools():
 atexit.register(shutdown_pools)
 
 
-def _run_tasks(payloads, workers):
-    # a pool starts all its processes at once, so it gets no more than it
-    # has tasks
-    workers = min(workers, len(payloads))
-    if workers <= 1:
-        # fresh buffers, matching the copies the pool transport would make:
-        # BLAS kernel selection is alignment-sensitive, and results must be
-        # bit-identical for every worker count
-        return [_solve_segment_task(copy.deepcopy(p)) for p in payloads]
+def _run_tasks(local, remote, workers):
+    """Results of :func:`_sweep_task` in task order and the processes used:
+    this process sweeps the ``local`` tasks, a pool of ``workers - 1`` the rest."""
     try:
-        pool = _get_pool(workers)
+        pool = _get_pool(workers - 1) if remote and workers > 1 else None
     except ValueError:  # platform without fork
-        return [_solve_segment_task(copy.deepcopy(p)) for p in payloads]
-    # Batch segments only when they far outnumber the workers: each pool
-    # task costs a round trip, which dominates tiny segments (J=T), while a
-    # chunk must be pickled whole before its worker starts, which would
-    # serialize the transport of large segments.  Few segments keep one
-    # task each.
-    chunksize = max(1, len(payloads) // (4 * workers))
-    return list(pool.map(_solve_segment_task, payloads, chunksize=chunksize))
+        pool = None
+    if pool is None:
+        return [_sweep_task(task) for task in local + remote], 1
+    futures = [pool.submit(_sweep_task, task) for task in remote]
+    return [_sweep_task(task) for task in local] + [f.result() for f in futures], workers
 
 
-def _solve_segment_task(payload):
-    """Symbolic solve of one segment.
-
-    Returns only what link assembly and reconstruction need (stacked policy
-    gains, initial value-function blocks, feasibility rows): trajectories
-    are re-derived in the parent by rolling the policies out, which keeps
-    the inter-process result payload small.
-    """
-    kind, lo, stages, terminal, tolerances, collect = payload
+def _sweep_task(task):
+    """Lockstep sweep of one batch of segments, returning only what links and
+    reconstruction need (the parent rolls the policies out): the gains, each
+    segment's initial cost-to-go and, where endpoint-constrained, its rows."""
+    lo, stages, splits, k, (Qxx, qx1), tolerances, collect = task
+    n = stages.Qxx.shape[1]
     try:
-        return _solve_segment(kind, stages, terminal, tolerances, collect)
+        order, diagnostics, steps = ep.sweep_segments(
+            stages, splits, Qxx, qx1, k, tolerances, collect)
     except CholeskyFailure as exc:
-        # report the stage on the global horizon, not within the segment
+        # report the stage on the global horizon, not within the batch
         raise CholeskyFailure(lo + exc.stage) from exc
+    gains, (Vxx, Vzx, Vzz, vx1, vz1), feasibility = ep.segment_ends(splits, order, steps)
+    out = {"Kx": gains[:, :, :n], "k1": gains[:, :, -1], "Vxx": Vxx, "vx1": vx1,
+           "diagnostics": tuple(diagnostics)}
+    if k:
+        out.update(Kz=gains[:, :, n:-1], Vzx=Vzx, Vzz=Vzz, vz1=vz1,
+                   feasibility=tuple((c.Hx, c.Hz, c.h1) for c in feasibility))
+    return out
 
 
-def _solve_segment(kind, stages, terminal, tolerances, collect):
-    if kind == "serial":
-        policies, values = serial.backward_pass(stages, terminal)
-        return {
-            "kind": kind,
-            "Kx": np.stack([p.Kx for p in policies]),
-            "k1": np.stack([p.k1 for p in policies]),
-            "vf0": (values[0].Vxx, values[0].vx1),
-        }
-    bw = ep.backward_pass(stages, terminal, tolerances=tolerances,
-                          collect_diagnostics=collect)
-    v0 = bw.values[0]
-    feas = bw.feasibility
-    return {
-        "kind": kind,
-        "Kx": np.stack([p.Kx for p in bw.policies]),
-        "Kz": np.stack([p.Kz for p in bw.policies]),
-        "k1": np.stack([p.k1 for p in bw.policies]),
-        "vf0": (v0.Vxx, v0.Vzx, v0.Vzz, v0.vx1, v0.vz1),
-        "feas": (feas.Hx, feas.Hz, feas.h1),
-        "diagnostics": bw.diagnostics,
-    }
+def _sweep(problem, splits, workers, constrained, terminal, tolerances, collect):
+    """Sweep the segments ``[splits[j], splits[j+1])``, the first ``constrained``
+    endpoint-constrained, each other ``j`` ending in ``terminal[:][j - constrained]``.
+
+    Each worker gets a run of segments, this process the first, swept as
+    lockstep batches of one kind of segment that, when sent, hold at most
+    :data:`TASK_BYTES` of stage data or one segment.  Returns the results
+    stacked in segment and stage order, the batches' ``(first, last)``
+    segments and the processes used.
+    """
+    J, n = len(splits) - 1, problem.n
+    stage_bytes = sum(getattr(problem.stages, f)[:1].nbytes for f in StageStack.FIELDS)
+    runs = [(int(run[0]), int(run[-1]))
+            for run in np.array_split(np.arange(J), min(workers, J))]
+    batches = []
+    for r, (first, last) in enumerate(runs):
+        for j in range(first, last + 1):
+            if j in (first, constrained) or r and TASK_BYTES < stage_bytes * (
+                    splits[j + 1] - splits[batches[-1][0]]):
+                batches.append([j, j])
+            batches[-1][1] = j
+    tasks = []
+    for first, last in batches:
+        lo, hi, k = splits[first], splits[last + 1], n if first < constrained else 0
+        cost = ((np.zeros((last + 1 - first, n, n)), np.zeros((last + 1 - first, n))) if k
+                else tuple(a[first - constrained:last + 1 - constrained] for a in terminal))
+        tasks.append((lo, problem.stages[lo:hi], tuple(s - lo for s in splits[first:last + 2]),
+                      k, cost, tolerances, collect and k > 0))
+    local = sum(last <= runs[0][1] for _, last in batches)
+    results, used = _run_tasks(tasks[:local], tasks[local:], min(workers, J))
+    merged = {key: [r[key] for r in results if key in r] for key in set().union(*results)}
+    return ({key: sum(v, ()) if isinstance(v[0], tuple) else np.concatenate(v)
+             for key, v in merged.items()}, tuple(map(tuple, batches)), used)
 
 
 # ---------------------------------------------------------------------------
 # link system
 
-def _solve_links(segments, partition, x_init):
+def _solve_links(seg, x_init):
     """Link points and feasibility multipliers from one banded KKT solve.
 
     The reduced problem over the ``J-1`` interior links minimizes the summed
@@ -228,7 +239,8 @@ def _solve_links(segments, partition, x_init):
     ``[nu_{k-1}, l_k]``, where ``nu_j`` multiplies segment ``j``'s rows, so
     every block lies within ``2n + max_rows - 1`` of the diagonal and one
     LU factorization with partial pivoting restricted to the band (LAPACK
-    ``dgbsv``) costs time and memory linear in ``J``.
+    ``dgbsv``) costs time and memory linear in ``J``.  Each entry gets its
+    terms in the order of a segment-by-segment assembly.
 
     Returns ``(links, nus, residual, rcond)``: ``nus[j]`` holds segment
     ``j``'s row multipliers (empty for the last segment), ``residual`` is
@@ -236,49 +248,41 @@ def _solve_links(segments, partition, x_init):
     reciprocal of the estimated 1-norm condition number.  Raises
     :class:`LinkSingular` when the factorization fails.
     """
-    J = partition.J
     n = x_init.shape[0]
-    rows = [seg["feas"][0].shape[0] for seg in segments[:-1]]
-    starts = np.concatenate([[0], np.cumsum(np.add(rows, n))])
+    feas = seg["feasibility"]
+    rows = np.array([Hx.shape[0] for Hx, _, _ in feas], dtype=int)
+    starts = np.concatenate([[0], np.cumsum(rows + n)])
     nu_at = starts[:-1]           # first unknown of nu_j
     link_at = nu_at + rows        # first unknown of l_{j+1}
     dim = int(starts[-1])
-    bw = min(2 * n + max(rows) - 1, dim - 1)
+    bw = min(2 * n + int(rows.max()) - 1, dim - 1)
     # LAPACK band storage: A[i, j] at ab[2 bw + i - j, j]; dgbsv uses the
     # top bw rows for the fill-in of its row interchanges
     ab = np.zeros((3 * bw + 1, dim), order="F")
     b = np.zeros(dim)
 
-    def add(i, j, block):
-        # A[i:, j:] += block, mirrored into A[j:, i:] off the diagonal
-        r, c = block.shape
-        ii = np.arange(i, i + r)[:, None]
-        jj = np.arange(j, j + c)[None, :]
+    def add(i, j, block, mirror=True):
+        # A[i[r], j[r] + c] += block[r, c], mirrored into A[j[r] + c, i[r]]
+        jj = j[:, None] + np.arange(n)
+        ii = np.broadcast_to(i[:, None], jj.shape)
         ab[2 * bw + ii - jj, jj] += block
-        if i != j:
-            ab[2 * bw + jj.T - ii.T, ii.T] += block.T
+        if mirror:
+            ab[2 * bw + jj - ii, ii] += block
 
-    for j, seg in enumerate(segments):
-        a = link_at[j - 1] if j else None
-        if seg["kind"] == "serial":
-            Vxx, vx1 = seg["vf0"]
-        else:
-            Vxx, Vzx, Vzz, vx1, vz1 = seg["vf0"]
-            Hx, Hz, h1 = seg["feas"]
-            z, nu = link_at[j], nu_at[j]
-            add(z, z, Vzz)
-            b[z:z + n] -= vz1
-            add(nu, z, Hz)
-            b[nu:nu + rows[j]] -= h1
-            if j:
-                add(z, a, Vzx)
-                add(nu, a, Hx)
-            else:
-                b[z:z + n] -= Vzx @ x_init
-                b[nu:nu + rows[j]] -= Hx @ x_init
-        if j:
-            add(a, a, Vxx)
-            b[a:a + n] -= vx1
+    # segment j's rows face its endpoint z = l_{j+1} and its start a = l_j
+    nu_rows = np.arange(rows.sum()) + np.repeat(nu_at - np.cumsum(rows) + rows, rows)
+    link_rows = (link_at[:, None] + np.arange(n)).ravel()
+    Hx, Hz, h1 = (np.concatenate([f[i] for f in feas]) for i in range(3))
+    add(link_rows, np.repeat(link_at, n), seg["Vzz"].reshape(-1, n), False)
+    add(nu_rows, np.repeat(link_at, rows), Hz)
+    add(link_rows[n:], np.repeat(link_at[:-1], n), seg["Vzx"][1:].reshape(-1, n))
+    add(nu_rows[rows[0]:], np.repeat(link_at[:-1], rows[1:]), Hx[rows[0]:])
+    add(link_rows, np.repeat(link_at, n), seg["Vxx"][1:].reshape(-1, n), False)
+    b[link_rows] -= seg["vz1"].ravel()
+    b[link_at[0]:link_at[0] + n] -= seg["Vzx"][0] @ x_init
+    b[link_rows] -= seg["vx1"][1:].ravel()
+    b[nu_rows] -= h1
+    b[nu_at[0]:link_at[0]] -= feas[0][0] @ x_init
 
     lub, piv, x, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, b[:, None])
     x = x[:, 0]
@@ -290,7 +294,7 @@ def _solve_links(segments, partition, x_init):
         residual[lo + d:hi + d] += ab[2 * bw + d, lo:hi] * x[lo:hi]
     anorm = float(np.abs(ab).sum(axis=0).max())
     links = x[link_at[:, None] + np.arange(n)]
-    nus = [x[nu_at[j]:link_at[j]] for j in range(J - 1)] + [np.zeros(0)]
+    nus = [x[nu_at[j]:link_at[j]] for j in range(len(link_at))] + [np.zeros(0)]
     return (links, nus, float(np.abs(residual).max()),
             1.0 / (anorm * _inverse_norm1(lub, piv, bw)))
 
@@ -355,20 +359,16 @@ class ParallelDetails:
     degenerate: bool
     segment_diagnostics: tuple = None
     smooth_deviation: float = None
+    workers: int = 1     # processes that swept the segments
+    batches: tuple = ()  # (first, last) segments of each sweep task
 
 
-def _segment_payloads(problem, partition, tolerances, collect):
-    payloads = []
-    for j in range(partition.J):
-        lo, hi = partition.segment(j)
-        stages = problem.stages[lo:hi]
-        if j == partition.J - 1:
-            payloads.append(("serial", lo, stages, problem.terminal,
-                             tolerances, collect))
-        else:
-            payloads.append(("endpoint", lo, stages, None, tolerances,
-                             collect))
-    return payloads
+def _by_rows(feasibility):
+    """Segments grouped by feasibility row count, with their rows stacked."""
+    rows = np.array([Hx.shape[0] for Hx, _, _ in feasibility], dtype=int)
+    for r in np.unique(rows[rows > 0]):
+        at = np.flatnonzero(rows == r)
+        yield at, *(np.stack([feasibility[j][i] for j in at]) for i in range(3))
 
 
 def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
@@ -378,10 +378,10 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
     Equivalent to :func:`parlqr.serial.solve` up to solver tolerance for
     any valid partition; ``J=1`` delegates to it outright.  A custom
     :class:`Partition` overrides the balanced default (and ``J``).
-    Results are assembled by segment index, so repeated runs are
-    bit-identical for any worker count.  Raises :class:`Infeasible` when a
-    segment's feasibility rows reject every link value and
-    :class:`LinkSingular` when the link system cannot be factorized.
+    Results are bit-identical for any worker count.  Raises
+    :class:`Infeasible` when a segment's feasibility rows reject every link
+    value and :class:`LinkSingular` when the link system cannot be
+    factorized.
     """
     if partition is not None:
         splits = partition.split_times
@@ -395,85 +395,71 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
     if partition is None:
         partition = make_partition(problem.T, J)
     workers = default_workers(J) if workers is None else max(1, workers)
-    segments = _run_tasks(
-        _segment_payloads(problem, partition, tolerances, collect_diagnostics),
-        workers)
-    x_init = problem.x_init
+    splits, terminal = partition.split_times, problem.terminal
+    seg, batches, used = _sweep(problem, splits, workers, J - 1,
+                             (terminal.Qxx[None], terminal.qx1[None]), tolerances,
+                             collect_diagnostics)
+    x_init, stages = problem.x_init, problem.stages
     n, m, T = problem.n, problem.m, problem.T
 
-    links, nus, link_residual, link_rcond = _solve_links(
-        segments, partition, x_init)
+    links, nus, link_residual, link_rcond = _solve_links(seg, x_init)
+    starts = np.concatenate([x_init[None], links])  # each segment's first state
 
     # per-segment feasibility at the solved links
-    feas_residuals = []
-    bounds = [x_init] + [links[k] for k in range(J - 1)]
-    for j, seg in enumerate(segments):
-        if seg["kind"] == "serial" or seg["feas"][0].shape[0] == 0:
-            feas_residuals.append(0.0)
-            continue
-        Hx, Hz, h1 = seg["feas"]
-        a, z = bounds[j], links[j]
-        resid = float(np.abs(Hx @ a + Hz @ z + h1).max())
-        feas_residuals.append(resid)
-        scale = 1.0 + float(np.abs(a).max()) + float(np.abs(z).max())
-        if resid > tolerances.feas_tol * scale * LINK_FEAS_SLACK:
-            raise Infeasible(resid, segment=j)
+    feas_residuals = np.zeros(J)
+    failed = []
+    for at, Hx, Hz, h1 in _by_rows(seg["feasibility"]):
+        a, z = starts[at], links[at]
+        feas_residuals[at] = np.abs(np.matvec(Hx, a) + np.matvec(Hz, z) + h1).max(axis=1)
+        scale = 1.0 + np.abs(a).max(axis=1) + np.abs(z).max(axis=1)
+        failed.extend(at[feas_residuals[at] > tolerances.feas_tol * scale * LINK_FEAS_SLACK])
+    if failed:
+        j = int(min(failed))
+        raise Infeasible(feas_residuals[j], segment=j)
 
+    # policy offsets with the endpoint folded in; the last segment has none
+    z = np.repeat(links, np.diff(splits)[:-1], axis=0)  # each stage's endpoint
+    folded = np.concatenate([np.matvec(seg["Kz"], z) + seg["k1"][:len(z)], seg["k1"][len(z):]])
+
+    # the segments roll out in lockstep from their first states; a link
+    # point, not a segment's own end state, is the next segment's start
     states = np.empty((T + 1, n))
     controls = np.empty((T, m))
+    order, plan = ep.lockstep(splits, forward=True)
+    x = starts[order]
+    for B, rows in plan:
+        xs, at = x[:B], stages[rows]
+        states[rows] = xs
+        us = np.matvec(seg["Kx"][rows], xs) + folded[rows]
+        controls[rows] = us
+        x[:B] = np.matvec(at.Fx, xs) + np.matvec(at.Fu, us) + at.f1
+    states[T] = x[np.flatnonzero(order == J - 1)[0]]
+
+    # each segment's multiplier at its end: minus its endpoint gradient,
+    # corrected by its feasibility rows, or the terminal cost's gradient
+    mu_left = -(np.matvec(seg["Vzx"], starts[:-1]) + np.matvec(seg["Vzz"], links) + seg["vz1"])
+    for at, _, Hz, _ in _by_rows(seg["feasibility"]):
+        mu_left[at] = mu_left[at] - np.matvec(Hz.mT, np.stack([nus[j] for j in at]))
     lambdas = np.empty((T + 1, n))
-    policies = [None] * T
-    mu_left = np.empty((J - 1, n))
-    lambda_right = np.empty((J - 1, n))
+    lambdas[T] = -(terminal.Qxx @ states[T] + terminal.qx1)
+    # interior multipliers follow the stationarity recursion backwards in
+    # lockstep, seeded by each segment's own end multiplier
+    order, plan = ep.lockstep(splits)
+    lam = np.concatenate([-mu_left, lambdas[T][None]])[order]
+    for B, rows in plan:
+        at = stages[rows]
+        lam[:B] = np.matvec(at.Fx.mT, lam[:B]) - (
+            np.matvec(at.Qxx, states[rows]) + np.matvec(at.Qux.mT, controls[rows]) + at.qx1)
+        lambdas[rows] = lam[:B]
+    lambda_right = lam[np.argsort(order)][1:]
 
-    for j, seg in enumerate(segments):
-        lo, hi = partition.segment(j)
-        a = bounds[j]
-        Kx, k1 = seg["Kx"], seg["k1"]
-        if seg["kind"] == "serial":
-            folded = k1
-            xs = states[lo:]
-            us = controls[lo:]
-        else:
-            z = links[j]
-            folded = seg["Kz"] @ z + k1
-            xs = np.empty((hi - lo + 1, n))
-            us = controls[lo:hi]
-        xs[0] = a
-        for s in range(hi - lo):
-            us[s] = Kx[s] @ xs[s] + folded[s]
-            dyn = problem.stages[lo + s][1]
-            xs[s + 1] = dyn.Fx @ xs[s] + dyn.Fu @ us[s] + dyn.f1
-        policies[lo:hi] = _feedback_policies(Kx, folded)
-        if seg["kind"] == "serial":
-            lam = -(problem.terminal.Qxx @ xs[-1] + problem.terminal.qx1)
-            lambdas[T] = lam
-        else:
-            states[lo:hi] = xs[:-1]
-            Vxx, Vzx, Vzz, vx1, vz1 = seg["vf0"]
-            mu = -(Vzx @ a + Vzz @ z + vz1)
-            if nus[j].size:
-                mu = mu - seg["feas"][1].T @ nus[j]
-            mu_left[j] = mu
-            lam = -mu
-        # interior multipliers follow the stationarity recursion backwards,
-        # seeded by the segment's own boundary multiplier
-        for s in range(hi - lo - 1, -1, -1):
-            cost, dyn = problem.stages[lo + s]
-            lam = dyn.Fx.T @ lam - (
-                cost.Qxx @ states[lo + s] + cost.Qux.T @ controls[lo + s]
-                + cost.qx1)
-            lambdas[lo + s] = lam
-        if j:
-            lambda_right[j - 1] = lam
-
-    mismatch = float(np.abs(mu_left + lambda_right).max()) if J > 1 else 0.0
-
+    mismatch = float(np.abs(mu_left + lambda_right).max())
+    values0 = tuple(zip(*(seg[key] for key in ("Vxx", "Vzx", "Vzz", "vx1", "vz1"))))
     solution = LqrSolution(
         states=states,
         controls=controls,
         lambdas=lambdas,
-        policies=tuple(policies),
+        policies=tuple(_feedback_policies(seg["Kx"], folded)),
         objective=evaluate_objective(problem, states, controls),
         kkt_residual_inf=0.0,
         details=ParallelDetails(
@@ -484,13 +470,13 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
             mu_left=mu_left,
             lambda_right=lambda_right,
             link_mismatch=mismatch,
-            segment_values0=tuple(seg["vf0"] for seg in segments),
-            segment_feasibility=tuple(
-                seg["feas"] if seg["kind"] == "endpoint" else None
-                for seg in segments),
-            feasibility_residuals=tuple(feas_residuals),
+            segment_values0=values0 + ((seg["Vxx"][-1], seg["vx1"][-1]),),
+            segment_feasibility=seg["feasibility"] + (None,),
+            feasibility_residuals=tuple(float(r) for r in feas_residuals),
             degenerate=any(nu.size for nu in nus),
-            segment_diagnostics=tuple(seg.get("diagnostics") for seg in segments),
+            segment_diagnostics=seg["diagnostics"],
+            workers=used,
+            batches=batches,
         ),
     )
     return dataclasses.replace(
@@ -502,10 +488,11 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
 
     For each segment ahead of the last, the next segment's initial
     cost-to-go, conditioned on its now-known terminal link point, becomes
-    the terminal cost of an unconstrained Riccati sweep over the segment.
-    The re-computed policies drive the same optimal trajectory on the
-    nominal dynamics but no longer steer at the link points under
-    disturbances.  A ``J=1`` result is returned unchanged.
+    the terminal cost of an unconstrained Riccati sweep over the segment;
+    the sweeps run in lockstep, one batch per worker.  The re-computed
+    policies drive the same optimal trajectory on the nominal dynamics but
+    no longer steer at the link points under disturbances.  A ``J=1``
+    result is returned unchanged.
 
     Requires every conditioning segment to reach arbitrary endpoints
     (empty feasibility triple): the relaxed cost-to-go of a
@@ -529,23 +516,16 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
                 "for this partition")
     links = details.link_points
     workers = default_workers(J - 1) if workers is None else max(1, workers)
-    payloads = []
-    for j in range(J - 1):
-        lo, hi = partition.segment(j)
-        vf = details.segment_values0[j + 1]
-        if j + 1 == J - 1:
-            Vxx, vx1 = vf
-            terminal = TerminalCost(Vxx, vx1)
-        else:
-            Vxx, Vzx, _, vx1, _ = vf
-            terminal = TerminalCost(Vxx, vx1 + Vzx.T @ links[j + 1])
-        payloads.append(("serial", lo, problem.stages[lo:hi], terminal,
-                         tolerances, False))
-    repassed = _run_tasks(payloads, workers)
+    vf = details.segment_values0
+    terminals = [TerminalCost(Vxx, vx1 + Vzx.T @ z)
+                 for (Vxx, Vzx, _, vx1, _), z in zip(vf[1:-1], links[1:])]
+    terminals.append(TerminalCost(*vf[-1]))
+    splits = partition.split_times[:-1]
+    seg, _, _ = _sweep(problem, splits, workers, 0,
+                       (np.stack([t.Qxx for t in terminals]),
+                        np.stack([t.qx1 for t in terminals])), tolerances, False)
     policies = list(result.policies)
-    for j in range(J - 1):
-        lo, hi = partition.segment(j)
-        policies[lo:hi] = _feedback_policies(repassed[j]["Kx"], repassed[j]["k1"])
+    policies[:splits[-1]] = _feedback_policies(seg["Kx"], seg["k1"])
     states, controls = rollout(problem, policies, problem.x_init)
     deviation = max(float(np.abs(states - result.states).max()),
                     float(np.abs(controls - result.controls).max()))

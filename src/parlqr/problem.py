@@ -201,7 +201,8 @@ class StageStack(collections.abc.Sequence):
     inputs.  ``stages[t]`` is a pair of views into these stacks, built on
     first access and the same objects on every later one.  A slice is a
     ``StageStack`` over views of the same stacks, reusing the pairs built
-    so far, and pickles as its own arrays only.
+    so far, and pickles as its own arrays only; an index array gives one
+    over copies of the indexed stages.
     """
 
     FIELDS = COST_FIELDS + DYNAMICS_FIELDS + ("asymmetry",)
@@ -230,9 +231,10 @@ class StageStack(collections.abc.Sequence):
         return len(self._pairs)
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
+        if not isinstance(key, (int, np.integer)):
             part = StageStack(*(getattr(self, f)[key] for f in self.FIELDS))
-            part._pairs = self._pairs[key]
+            if isinstance(key, slice):
+                part._pairs = self._pairs[key]
             return part
         pair = self._pairs[key]
         if pair is None:
@@ -333,10 +335,7 @@ class AffinePolicy:
         must be true exactly when ``Kz`` has a nonzero entry.
         """
         policy = object.__new__(cls)
-        object.__setattr__(policy, "Kx", Kx)
-        object.__setattr__(policy, "Kz", Kz)
-        object.__setattr__(policy, "k1", k1)
-        object.__setattr__(policy, "_uses_terminal", uses_terminal)
+        policy.__dict__.update(Kx=Kx, Kz=Kz, k1=k1, _uses_terminal=uses_terminal)
         return policy
 
     def __call__(self, x, x_term=None):

@@ -1,12 +1,14 @@
+import concurrent.futures
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parlqr import parallel, serial
+from parlqr import endpoint, parallel, serial
 from parlqr.generate import generate
 from parlqr.parallel import Partition, make_partition
 from parlqr.errors import (
@@ -15,7 +17,12 @@ from parlqr.errors import (
     Infeasible,
     LinkSingular,
 )
-from parlqr.problem import LqrProblem, StageDynamics, kkt_residual
+from parlqr.problem import (
+    DEFAULT_TOLERANCES,
+    LqrProblem,
+    StageDynamics,
+    kkt_residual,
+)
 
 from conftest import (
     max_deviation,
@@ -25,22 +32,28 @@ from conftest import (
 )
 
 
+def sweep(problem, part, workers=1, collect=False):
+    """The segment results of a partitioned solve, its runs and workers."""
+    terminal = problem.terminal
+    return parallel._sweep(problem, part.split_times, workers, part.J - 1,
+                           (terminal.Qxx[None], terminal.qx1[None]),
+                           DEFAULT_TOLERANCES, collect)
+
+
 def link_segments(problem, J):
     """Balanced partition and its in-process segment results."""
     part = make_partition(problem.T, J)
-    payloads = parallel._segment_payloads(
-        problem, part, parallel.DEFAULT_TOLERANCES, False)
-    return part, parallel._run_tasks(payloads, workers=1)
+    return part, sweep(problem, part)[0]
 
 
-def dense_link_kkt(segments, x_init):
+def dense_link_kkt(seg, x_init):
     """Dense KKT matrix and right-hand side of the reduced link problem.
 
     Unknowns: the links ``l_1 .. l_{J-1}``, then the feasibility-row
     multipliers of each segment in turn.
     """
-    J, n = len(segments), x_init.shape[0]
-    rows = [seg["feas"][0].shape[0] for seg in segments[:-1]]
+    J, n = len(seg["Vxx"]), x_init.shape[0]
+    rows = [Hx.shape[0] for Hx, _, _ in seg["feasibility"]]
     dim = (J - 1) * n + sum(rows)
     A, b = np.zeros((dim, dim)), np.zeros(dim)
 
@@ -48,27 +61,24 @@ def dense_link_kkt(segments, x_init):
         return slice((k - 1) * n, k * n)
 
     at = (J - 1) * n
-    for j, seg in enumerate(segments):
-        if seg["kind"] == "serial":
-            Vxx, vx1 = seg["vf0"]
-        else:
-            Vxx, Vzx, Vzz, vx1, vz1 = seg["vf0"]
-            Hx, Hz, h1 = seg["feas"]
+    for j in range(J):
+        if j < J - 1:
+            Hx, Hz, h1 = seg["feasibility"][j]
             z, nu = link(j + 1), slice(at, at + rows[j])
             at += rows[j]
-            A[z, z] += Vzz
-            b[z] -= vz1
+            A[z, z] += seg["Vzz"][j]
+            b[z] -= seg["vz1"][j]
             A[nu, z], A[z, nu] = Hz, Hz.T
             b[nu] = -h1
             if j:
-                A[z, link(j)], A[link(j), z] = Vzx, Vzx.T
+                A[z, link(j)], A[link(j), z] = seg["Vzx"][j], seg["Vzx"][j].T
                 A[nu, link(j)], A[link(j), nu] = Hx, Hx.T
             else:
-                b[z] -= Vzx @ x_init
+                b[z] -= seg["Vzx"][j] @ x_init
                 b[nu] -= Hx @ x_init
         if j:
-            A[link(j), link(j)] += Vxx
-            b[link(j)] -= vx1
+            A[link(j), link(j)] += seg["Vxx"][j]
+            b[link(j)] -= seg["vx1"][j]
     return A, b
 
 
@@ -211,7 +221,7 @@ class TestLinkDiagnostics:
         for J in (4, problem.T):
             part, segments = link_segments(problem, J)
             links, _, residual, _ = parallel._solve_links(
-                segments, part, problem.x_init)
+                segments, problem.x_init)
             _, rhs = dense_link_kkt(segments, problem.x_init)
             assert residual <= 1e-9 * (1.0 + np.abs(rhs).max())
             for k, tau in enumerate(part.split_times[1:-1]):
@@ -229,16 +239,14 @@ class TestLinkDiagnostics:
         assert exact / 10 <= sol.details.link_rcond <= exact * 10
 
     def test_zero_value_blocks_raise_link_singular(self):
-        n = 2
-        zero, zv = np.zeros((n, n)), np.zeros(n)
+        n, J = 2, 3
         no_rows = (np.zeros((0, n)), np.zeros((0, n)), np.zeros(0))
-        segments = [
-            {"kind": "endpoint", "vf0": (zero, zero, zero, zv, zv), "feas": no_rows},
-            {"kind": "endpoint", "vf0": (zero, zero, zero, zv, zv), "feas": no_rows},
-            {"kind": "serial", "vf0": (zero, zv)},
-        ]
+        blocks = np.zeros((J, n, n))
+        segments = {"Vxx": blocks, "vx1": np.zeros((J, n)), "Vzx": blocks[1:],
+                    "Vzz": blocks[1:], "vz1": np.zeros((J - 1, n)),
+                    "feasibility": (no_rows,) * (J - 1)}
         with pytest.raises(LinkSingular):
-            parallel._solve_links(segments, make_partition(6, 3), np.ones(n))
+            parallel._solve_links(segments, np.ones(n))
 
     def test_unit_segments_solve_in_linear_memory(self):
         # the dense KKT matrix of this partition's link problem alone would
@@ -266,9 +274,7 @@ class TestLinkDiagnostics:
             assert np.array_equal(a.lambdas, b.lambdas)
 
     def test_worker_count_does_not_change_results_materially(self):
-        # sub-solves are bit-reproducible across transports; the assembled
-        # trajectory may differ by allocator-dependent BLAS rounding only.
-        # J=T sends the unit segments to the pool in chunks.
+        # J=T sends runs of unit segments to the pool, one run per process
         problem = generate(5, 2, 24, seed=15)
         for J in (4, problem.T):
             a = parallel.solve_parallel(problem, J=J, workers=1)
@@ -278,13 +284,150 @@ class TestLinkDiagnostics:
             assert np.abs(a.lambdas - b.lambdas).max() <= 1e-12
 
 
+    def test_results_bit_identical_across_worker_counts(self):
+        problem = generate(5, 2, 24, seed=15)
+        for J in (8, problem.T):
+            ref = parallel.solve_parallel(problem, J=J, workers=1)
+            for w in (2, 3):
+                sol = parallel.solve_parallel(problem, J=J, workers=w)
+                for field in ("states", "controls", "lambdas"):
+                    assert np.array_equal(getattr(sol, field), getattr(ref, field))
+        ref = parallel.smooth(problem, parallel.solve_parallel(problem, J=8, workers=1),
+                              workers=1)
+        for w in (2, 3):
+            sol = parallel.smooth(
+                problem, parallel.solve_parallel(problem, J=8, workers=w), workers=w)
+            assert np.array_equal(sol.states, ref.states)
+            assert np.array_equal(sol.controls, ref.controls)
+
+    def test_band_matrix_matches_dense_assembly(self, monkeypatch):
+        # unit segments with m < n: every segment but the last has rows
+        problem = generate(4, 1, 12, seed=21)
+        _, seg = link_segments(problem, problem.T)
+        rows = [Hx.shape[0] for Hx, _, _ in seg["feasibility"]]
+        assert all(rows)
+        factored, real = [], scipy.linalg.lapack.dgbsv
+
+        def dgbsv(kl, ku, ab, b):
+            factored.append((kl, ab.copy(), b.copy()))
+            return real(kl, ku, ab, b)
+
+        monkeypatch.setattr(parallel.scipy.linalg.lapack, "dgbsv", dgbsv)
+        parallel._solve_links(seg, problem.x_init)
+        (bw, ab, b), = factored
+        dim, n = len(b), problem.n
+        i, j = np.indices((dim, dim))
+        inside = np.abs(i - j) <= bw
+        band = np.zeros((dim, dim))
+        band[inside] = ab[2 * bw + i[inside] - j[inside], j[inside]]
+        # per link, its unknowns follow the multipliers of the rows that end
+        # there; the dense unknowns are the links, then the multipliers
+        nu_at = np.concatenate([[0], np.cumsum(np.add(rows, n))[:-1]])
+        order = np.concatenate(
+            [(nu_at[:, None] + np.add(rows, np.arange(n)[:, None]).T).ravel()]
+            + [np.arange(nu, nu + r) for nu, r in zip(nu_at, rows)])
+        dense, rhs = dense_link_kkt(seg, problem.x_init)
+        assert np.array_equal(band[np.ix_(order, order)], dense)
+        assert np.array_equal(b[order, 0], rhs)
+
+    def test_details_report_workers_and_batches(self):
+        problem = generate(3, 2, 16, seed=3)
+        one = parallel.solve_parallel(problem, J=8, workers=1)
+        assert (one.details.workers, one.details.batches) == (1, ((0, 6), (7, 7)))
+        three = parallel.solve_parallel(problem, J=8, workers=3)
+        assert three.details.workers == 3
+        assert three.details.batches == ((0, 2), (3, 5), (6, 6), (7, 7))
+
+
+def without_controls(problem, stages):
+    """Copy of the problem with no control authority at the given stages."""
+    pairs = list(problem.stages)
+    for t in stages:
+        cost, dyn = pairs[t]
+        pairs[t] = (cost, StageDynamics(dyn.Fx, np.zeros_like(dyn.Fu), dyn.f1))
+    return LqrProblem(pairs, problem.terminal, problem.x_init)
+
+
+LOCKSTEP_CASES = {
+    "balanced": lambda: (generate(4, 2, 64, seed=31), make_partition(64, 8)),
+    "unit": lambda: (generate(4, 1, 24, seed=32), make_partition(24, 24)),
+    "ragged": lambda: (generate(3, 2, 15, seed=33), Partition(4, (0, 1, 6, 8, 15))),
+    # stages 14 and 23 end segments 3 and 5 of 8 within the steps that
+    # still have endpoint rows pending, so those segments reach other ranks
+    "mixed_ranks": lambda: (without_controls(generate(4, 2, 32, seed=34), (14, 23)),
+                            make_partition(32, 8)),
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_batched_sweeps_match_each_segment_alone(self, case, workers):
+        problem, part = LOCKSTEP_CASES[case]()
+        seg, _, used = sweep(problem, part, workers, collect=True)
+        assert used == workers
+        for j in range(part.J):
+            lo, hi = part.segment(j)
+            last = j == part.J - 1
+            alone = endpoint.backward_pass(
+                problem.stages[lo:hi], problem.terminal if last else None,
+                terminal_constrained=not last, collect_diagnostics=not last)
+            for name in ("Kx", "k1") + (() if last else ("Kz",)):
+                assert np.array_equal(
+                    seg[name][lo:hi],
+                    np.stack([getattr(p, name) for p in alone.policies]))
+            v0 = alone.values[0]
+            assert np.array_equal(seg["Vxx"][j], v0.Vxx)
+            assert np.array_equal(seg["vx1"][j], v0.vx1)
+            if last:
+                assert seg["diagnostics"][j] is None
+                continue
+            for name in ("Vzx", "Vzz", "vz1"):
+                assert np.array_equal(seg[name][j], getattr(v0, name))
+            feas = alone.feasibility
+            for got, want in zip(seg["feasibility"][j], (feas.Hx, feas.Hz, feas.h1)):
+                assert np.array_equal(got, want)
+            assert vars(seg["diagnostics"][j]) == vars(alone.diagnostics)
+
+    def test_sent_batches_hold_at_most_task_bytes(self, monkeypatch):
+        problem = generate(3, 2, 16, seed=3)
+        whole = parallel.solve_parallel(problem, J=8, workers=2)
+        assert whole.details.batches == ((0, 3), (4, 6), (7, 7))
+        # each sent batch then holds one segment; this process keeps its run
+        monkeypatch.setattr(parallel, "TASK_BYTES", 1)
+        split = parallel.solve_parallel(problem, J=8, workers=2)
+        assert split.details.batches == ((0, 3), (4, 4), (5, 5), (6, 6), (7, 7))
+        for field in ("states", "controls", "lambdas"):
+            assert np.array_equal(getattr(split, field), getattr(whole, field))
+
+    def test_mixed_ranks_case_reaches_other_ranks(self):
+        # rows still pending after two steps: two where stage 14 or 23 spent
+        # no control direction on them, none elsewhere
+        problem, part = LOCKSTEP_CASES["mixed_ranks"]()
+        pending = [endpoint.backward_pass(problem.stages[lo:hi]).constraints[2].rows
+                   for lo, hi in map(part.segment, range(part.J - 1))]
+        assert pending == [0, 0, 0, 2, 0, 2, 0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cholesky_failure_in_a_batch_reports_global_stage(self, workers):
+        # with m > n a unit segment keeps free control directions, whose
+        # cost Hessian its sweep factors
+        broken = with_control_cost(generate(1, 2, 16, seed=3), 13, -1.0)
+        with pytest.raises(CholeskyFailure) as info:
+            parallel.solve_parallel(broken, J=16, workers=workers)
+        assert info.value.stage == 13
+        assert str(info.value) == "Cholesky failed at stage 13"
+
+
 class TestPoolSize:
     def test_pool_never_gets_more_processes_than_tasks(self, monkeypatch):
         asked = []
 
         class InProcessPool:
-            def map(self, fn, payloads, chunksize=1):
-                return map(fn, payloads)
+            def submit(self, fn, task):
+                future = concurrent.futures.Future()
+                future.set_result(fn(task))
+                return future
 
         def get_pool(workers):
             asked.append(workers)
@@ -295,7 +438,8 @@ class TestPoolSize:
         sol = parallel.solve_parallel(problem, J=8, workers=5000)
         monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "5000")
         parallel.smooth(problem, parallel.solve_parallel(problem, J=8))
-        assert asked == [8, 8, 7]
+        # this process sweeps one of the tasks itself
+        assert asked == [7, 7, 6]
         assert kkt_residual(problem, sol) <= 1e-8 * tolerance_scale(problem)
 
 
