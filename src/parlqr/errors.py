@@ -42,6 +42,11 @@ class WorkerConfigError(SolverError):
     """The worker count named by the environment is not an integer."""
 
 
+class WorkerFailure(SolverError):
+    """A worker process ended before returning its segments (killed, or out
+    of memory)."""
+
+
 class LinkSingular(SolverError):
     """The link-point system could not be factorized."""
 

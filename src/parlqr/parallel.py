@@ -24,10 +24,15 @@ multipliers; interior multipliers then follow the stationarity recursion
 within each segment.
 
 Each worker takes a contiguous run of segments, the calling process the
-first; the pool gets the others as :class:`parlqr.problem.StageStack`
-slices.  A batch of segments is one lockstep sweep
-(:func:`parlqr.endpoint.sweep_segments`), and the reconstruction is lockstep
-too; a segment's bits do not depend on its batch or worker count.
+first, and sweeps it as one lockstep batch per kind of segment
+(:func:`parlqr.endpoint.sweep_segments`); the reconstruction is lockstep
+too, and a segment's bits do not depend on its batch or worker count.  The
+pool's stage data travels through one file per solve in a memory-backed
+directory (:data:`SHARED_DIR`): the calling process writes the pool's
+stages there, each pool task names only the file, its byte layout and the
+batch's stage range, and the worker maps the file read-only for the
+length of its sweep.  The file is removed once the results are in.  Where
+it cannot be created, the calling process sweeps every batch itself.
 """
 
 from __future__ import annotations
@@ -35,8 +40,13 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import dataclasses
+import itertools
+import math
+import mmap
 import multiprocessing
 import os
+import time
+import traceback
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +58,7 @@ from .errors import (
     Infeasible,
     LinkSingular,
     WorkerConfigError,
+    WorkerFailure,
 )
 from .problem import (
     DEFAULT_TOLERANCES,
@@ -70,10 +81,6 @@ __all__ = [
 ]
 
 WORKERS_ENV_VAR = "PAR_RICCATI_WORKERS"
-
-# Most stage data, in bytes, in one task sent to a pool process: a task is
-# pickled whole on either side, and the next arrives while a worker sweeps
-TASK_BYTES = 8 * 2**20
 
 # Feasibility slack at solved link points, relative to ``feas_tol``.  The
 # endpoint solver checks endpoints the caller gave exactly; link points come
@@ -134,6 +141,11 @@ def default_workers(J):
 
 _POOLS = {}
 
+# Directory of the per-solve stage files (a memory-backed filesystem) and
+# the counter that names them within this process
+SHARED_DIR = "/dev/shm"
+_FILE_NUMBERS = itertools.count()
+
 
 def _get_pool(workers):
     pool = _POOLS.get(workers)
@@ -155,28 +167,78 @@ def shutdown_pools():
 atexit.register(shutdown_pools)
 
 
-def _run_tasks(local, remote, workers):
-    """Results of :func:`_sweep_task` in task order and the processes used:
-    this process sweeps the ``local`` tasks, a pool of ``workers - 1`` the rest."""
+def _publish(stages, path):
+    """Write ``stages`` to a new file at ``path``, one stack after another at
+    64-byte aligned offsets; return each stack's ``(offset, dtype, stage
+    shape)`` in :attr:`StageStack.FIELDS` order and the bytes written.
+
+    The stacks go out through ``os.pwrite``, so this process never maps the
+    file.  The file is removed again if writing fails.
+    """
+    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
+    layout, end = [], 0
     try:
-        pool = _get_pool(workers - 1) if remote and workers > 1 else None
-    except ValueError:  # platform without fork
-        pool = None
-    if pool is None:
-        return [_sweep_task(task) for task in local + remote], 1
-    futures = [pool.submit(_sweep_task, task) for task in remote]
-    return [_sweep_task(task) for task in local] + [f.result() for f in futures], workers
+        for field in StageStack.FIELDS:
+            arr = np.ascontiguousarray(getattr(stages, field))
+            at = offset = -(-end // 64) * 64
+            data = memoryview(arr).cast("B")
+            while data:
+                written = os.pwrite(fd, data, at)
+                data, at = data[written:], at + written
+            layout.append((offset, arr.dtype.str, arr.shape[1:]))
+            end = offset + arr.nbytes
+    except BaseException:
+        os.unlink(path)
+        raise
+    finally:
+        os.close(fd)
+    return tuple(layout), sum(getattr(stages, f).nbytes for f in StageStack.FIELDS)
 
 
-def _sweep_task(task):
+def _run_tasks(local, remote, workers, timings):
+    """Results of the batches in order and the processes used: this process
+    sweeps the ``local`` batches (:func:`_sweep_batch` arguments), a pool of
+    ``workers - 1`` the ``remote`` ones (:func:`_sweep_shared` tasks).
+
+    Adds the ``local_sweep`` and ``wait`` spans to ``timings``.  Raises
+    :class:`WorkerFailure` when a pool process dies; that pool is dropped,
+    so the next solve starts a new one.
+    """
+    pool = _get_pool(workers - 1) if remote else None
+    futures = []
+    try:
+        futures = [pool.submit(_sweep_shared, task) for task in remote]
+        tic = time.perf_counter()
+        results = [_sweep_batch(*batch) for batch in local]
+        timings["local_sweep"], tic = time.perf_counter() - tic, time.perf_counter()
+        results += [f.result() for f in futures]
+        timings["wait"] = time.perf_counter() - tic
+    except concurrent.futures.BrokenExecutor as exc:
+        if _POOLS.get(workers - 1) is pool:
+            del _POOLS[workers - 1]
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise WorkerFailure(f"a worker process ended abruptly: {exc}") from exc
+    finally:
+        for f in futures:
+            f.cancel()
+    return results, workers if remote else 1
+
+
+def _sweep_batch(stages, lo, splits, k, terminal, tolerances, collect):
     """Lockstep sweep of one batch of segments, returning only what links and
     reconstruction need (the parent rolls the policies out): the gains, each
-    segment's initial cost-to-go and, where endpoint-constrained, its rows."""
-    lo, stages, splits, k, (Qxx, qx1), tolerances, collect = task
+    segment's initial cost-to-go and, where endpoint-constrained, its rows.
+
+    ``stages`` holds the batch's stages, the first of them stage ``lo`` of
+    the horizon; ``terminal`` is None for endpoint segments (``k = n``),
+    whose terminal cost is zero.
+    """
     n = stages.Qxx.shape[1]
+    if terminal is None:
+        terminal = np.zeros((len(splits) - 1, n, n)), np.zeros((len(splits) - 1, n))
     try:
         order, diagnostics, steps = ep.sweep_segments(
-            stages, splits, Qxx, qx1, k, tolerances, collect)
+            stages, splits, *terminal, k, tolerances, collect)
     except CholeskyFailure as exc:
         # report the stage on the global horizon, not within the batch
         raise CholeskyFailure(lo + exc.stage) from exc
@@ -189,39 +251,87 @@ def _sweep_task(task):
     return out
 
 
+def _sweep_shared(task):
+    """:func:`_sweep_batch` over stages read from a :func:`_publish` file.
+
+    ``task`` is ``(path, (base, layout), lo, hi, *rest)``: the file holds
+    stages ``base, base + 1, ...``, the batch is stages ``[lo, hi)`` and
+    ``rest`` the other :func:`_sweep_batch` arguments.  The file is mapped
+    read-only for the sweep only; the batch's stacks are views into it.
+    """
+    path, (base, layout), lo, hi, *rest = task
+    with open(path, "rb") as file:
+        mapped = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        stacks = []
+        for offset, dtype, shape in layout:
+            size = math.prod(shape)
+            at = offset + (lo - base) * size * np.dtype(dtype).itemsize
+            stacks.append(np.frombuffer(mapped, dtype, (hi - lo) * size, at)
+                          .reshape(hi - lo, *shape))
+        return _sweep_batch(StageStack(*stacks), lo, *rest)
+    except BaseException as exc:
+        # the frames of the error's traceback hold views of the mapping
+        while exc is not None:
+            traceback.clear_frames(exc.__traceback__)
+            exc = exc.__cause__ or exc.__context__
+        raise
+    finally:
+        stacks = None  # the last views of the mapping, which can then close
+        mapped.close()
+
+
 def _sweep(problem, splits, workers, constrained, terminal, tolerances, collect):
     """Sweep the segments ``[splits[j], splits[j+1])``, the first ``constrained``
     endpoint-constrained, each other ``j`` ending in ``terminal[:][j - constrained]``.
 
-    Each worker gets a run of segments, this process the first, swept as
-    lockstep batches of one kind of segment that, when sent, hold at most
-    :data:`TASK_BYTES` of stage data or one segment.  Returns the results
-    stacked in segment and stage order, the batches' ``(first, last)``
-    segments and the processes used.
+    Each worker gets a run of segments, this process the first, and sweeps
+    it as one lockstep batch per kind of segment.  The pool's stages go
+    through one file in :data:`SHARED_DIR`, removed once the results are
+    in; if it cannot be created, this process sweeps every batch.  Returns
+    the results stacked in segment and stage order, the batches' ``(first,
+    last)`` segments, the processes used, the bytes shared and the
+    ``publish``, ``local_sweep`` and ``wait`` spans in seconds.
     """
-    J, n = len(splits) - 1, problem.n
-    stage_bytes = sum(getattr(problem.stages, f)[:1].nbytes for f in StageStack.FIELDS)
+    J = len(splits) - 1
     runs = [(int(run[0]), int(run[-1]))
             for run in np.array_split(np.arange(J), min(workers, J))]
     batches = []
-    for r, (first, last) in enumerate(runs):
+    for first, last in runs:
         for j in range(first, last + 1):
-            if j in (first, constrained) or r and TASK_BYTES < stage_bytes * (
-                    splits[j + 1] - splits[batches[-1][0]]):
+            if j in (first, constrained):
                 batches.append([j, j])
             batches[-1][1] = j
     tasks = []
     for first, last in batches:
-        lo, hi, k = splits[first], splits[last + 1], n if first < constrained else 0
-        cost = ((np.zeros((last + 1 - first, n, n)), np.zeros((last + 1 - first, n))) if k
-                else tuple(a[first - constrained:last + 1 - constrained] for a in terminal))
-        tasks.append((lo, problem.stages[lo:hi], tuple(s - lo for s in splits[first:last + 2]),
-                      k, cost, tolerances, collect and k > 0))
+        lo, ends = splits[first], first < constrained
+        tasks.append((lo, splits[last + 1], tuple(s - lo for s in splits[first:last + 2]),
+                      problem.n if ends else 0,
+                      None if ends else tuple(
+                          a[first - constrained:last + 1 - constrained] for a in terminal),
+                      tolerances, collect and ends))
     local = sum(last <= runs[0][1] for _, last in batches)
-    results, used = _run_tasks(tasks[:local], tasks[local:], min(workers, J))
+    stages, path, shared = problem.stages, None, 0
+    tic = time.perf_counter()
+    if local < len(tasks):
+        base = tasks[local][0]
+        path = os.path.join(SHARED_DIR, f"parlqr-{os.getpid()}-{next(_FILE_NUMBERS)}")
+        try:
+            layout, shared = _publish(stages[base:splits[-1]], path)
+        except OSError:  # no shared directory or no room: sweep here
+            path, local = None, len(tasks)
+    timings = {"publish": time.perf_counter() - tic}
+    try:
+        results, used = _run_tasks(
+            [(stages[lo:hi], lo, *rest) for lo, hi, *rest in tasks[:local]],
+            [(path, (base, layout), *task) for task in tasks[local:]],
+            min(workers, J), timings)
+    finally:
+        if path is not None:
+            os.unlink(path)
     merged = {key: [r[key] for r in results if key in r] for key in set().union(*results)}
     return ({key: sum(v, ()) if isinstance(v[0], tuple) else np.concatenate(v)
-             for key, v in merged.items()}, tuple(map(tuple, batches)), used)
+             for key, v in merged.items()}, tuple(map(tuple, batches)), used, shared, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +471,8 @@ class ParallelDetails:
     smooth_deviation: float = None
     workers: int = 1     # processes that swept the segments
     batches: tuple = ()  # (first, last) segments of each sweep task
+    shared_bytes: int = 0  # stage data written to the pool's shared file
+    timings: dict = None   # seconds in publish, local_sweep, wait, links, reconstruct
 
 
 def _by_rows(feasibility):
@@ -396,13 +508,15 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
         partition = make_partition(problem.T, J)
     workers = default_workers(J) if workers is None else max(1, workers)
     splits, terminal = partition.split_times, problem.terminal
-    seg, batches, used = _sweep(problem, splits, workers, J - 1,
-                             (terminal.Qxx[None], terminal.qx1[None]), tolerances,
-                             collect_diagnostics)
+    seg, batches, used, shared, timings = _sweep(
+        problem, splits, workers, J - 1, (terminal.Qxx[None], terminal.qx1[None]),
+        tolerances, collect_diagnostics)
     x_init, stages = problem.x_init, problem.stages
     n, m, T = problem.n, problem.m, problem.T
 
+    tic = time.perf_counter()
     links, nus, link_residual, link_rcond = _solve_links(seg, x_init)
+    timings["links"], tic = time.perf_counter() - tic, time.perf_counter()
     starts = np.concatenate([x_init[None], links])  # each segment's first state
 
     # per-segment feasibility at the solved links
@@ -454,6 +568,7 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
     lambda_right = lam[np.argsort(order)][1:]
 
     mismatch = float(np.abs(mu_left + lambda_right).max())
+    timings["reconstruct"] = time.perf_counter() - tic
     values0 = tuple(zip(*(seg[key] for key in ("Vxx", "Vzx", "Vzz", "vx1", "vz1"))))
     solution = LqrSolution(
         states=states,
@@ -477,6 +592,8 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
             segment_diagnostics=seg["diagnostics"],
             workers=used,
             batches=batches,
+            shared_bytes=shared,
+            timings=timings,
         ),
     )
     return dataclasses.replace(
@@ -521,9 +638,9 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
                  for (Vxx, Vzx, _, vx1, _), z in zip(vf[1:-1], links[1:])]
     terminals.append(TerminalCost(*vf[-1]))
     splits = partition.split_times[:-1]
-    seg, _, _ = _sweep(problem, splits, workers, 0,
-                       (np.stack([t.Qxx for t in terminals]),
-                        np.stack([t.qx1 for t in terminals])), tolerances, False)
+    seg, *_ = _sweep(problem, splits, workers, 0,
+                     (np.stack([t.Qxx for t in terminals]),
+                      np.stack([t.qx1 for t in terminals])), tolerances, False)
     policies = list(result.policies)
     policies[:splits[-1]] = _feedback_policies(seg["Kx"], seg["k1"])
     states, controls = rollout(problem, policies, problem.x_init)

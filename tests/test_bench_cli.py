@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parlqr import bench, cli, demo, fileio, parallel, serial
-from parlqr.errors import Infeasible, SolverError, WorkerConfigError
+from parlqr.errors import Infeasible, SolverError, WorkerConfigError, WorkerFailure
 from parlqr.generate import generate
 
 from conftest import interleaved_min_of, max_deviation, tolerance_scale
@@ -103,6 +103,18 @@ class TestSolveCommand:
         code = cli.main(["solve", "--problem", str(src), "--solver", "parallel",
                          "--out", str(tmp_path / "o.json")])
         assert code == 2
+
+    def test_worker_failure_exits_three(self, tmp_path, monkeypatch, capsys):
+        src = self._problem_file(tmp_path)
+
+        def raise_worker_failure(*args, **kwargs):
+            raise WorkerFailure("a worker process ended abruptly")
+
+        monkeypatch.setattr(parallel, "solve_parallel", raise_worker_failure)
+        code = cli.main(["solve", "--problem", str(src), "--solver", "parallel",
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        assert "ended abruptly" in capsys.readouterr().err
 
     def test_non_integer_worker_env_exits_three(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -1,5 +1,8 @@
 import concurrent.futures
+import glob
+import os
 import pickle
+import signal
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from parlqr.errors import (
     FactorizationFailure,
     Infeasible,
     LinkSingular,
+    WorkerFailure,
 )
 from parlqr.problem import (
     DEFAULT_TOLERANCES,
@@ -37,7 +41,17 @@ def sweep(problem, part, workers=1, collect=False):
     terminal = problem.terminal
     return parallel._sweep(problem, part.split_times, workers, part.J - 1,
                            (terminal.Qxx[None], terminal.qx1[None]),
-                           DEFAULT_TOLERANCES, collect)
+                           DEFAULT_TOLERANCES, collect)[:3]
+
+
+def shared_files():
+    """Stage files of this process still in the shared directory."""
+    return glob.glob(os.path.join(parallel.SHARED_DIR, f"parlqr-{os.getpid()}-*"))
+
+
+def assert_same_solution(got, want):
+    for field in ("states", "controls", "lambdas"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def link_segments(problem, J):
@@ -389,16 +403,37 @@ class TestLockstep:
                 assert np.array_equal(got, want)
             assert vars(seg["diagnostics"][j]) == vars(alone.diagnostics)
 
-    def test_sent_batches_hold_at_most_task_bytes(self, monkeypatch):
-        problem = generate(3, 2, 16, seed=3)
-        whole = parallel.solve_parallel(problem, J=8, workers=2)
-        assert whole.details.batches == ((0, 3), (4, 6), (7, 7))
-        # each sent batch then holds one segment; this process keeps its run
-        monkeypatch.setattr(parallel, "TASK_BYTES", 1)
-        split = parallel.solve_parallel(problem, J=8, workers=2)
-        assert split.details.batches == ((0, 3), (4, 4), (5, 5), (6, 6), (7, 7))
-        for field in ("states", "controls", "lambdas"):
-            assert np.array_equal(getattr(split, field), getattr(whole, field))
+    def test_sent_tasks_carry_no_stage_data(self, monkeypatch):
+        sent, run_tasks = [], parallel._run_tasks
+
+        def capture(local, remote, workers, timings):
+            sent.append([len(pickle.dumps(task)) for task in remote])
+            return run_tasks(local, remote, workers, timings)
+
+        monkeypatch.setattr(parallel, "_run_tasks", capture)
+        short, long = (parallel.solve_parallel(generate(3, 2, T, seed=3), J=8, workers=2)
+                       for T in (256, 2048))
+        # one batch per worker per kind of segment, at any horizon
+        assert short.details.batches == long.details.batches == ((0, 3), (4, 6), (7, 7))
+        assert long.details.shared_bytes > 7 * short.details.shared_bytes
+        # eight times the stages, yet each sent task keeps its size up to the
+        # pickled width of the stage numbers and byte offsets it names
+        short_sizes, long_sizes = sent
+        assert len(short_sizes) == len(long_sizes) == 2
+        for a, b in zip(short_sizes, long_sizes):
+            assert abs(a - b) <= 32
+            assert b < short.details.shared_bytes / 10
+
+    def test_unshareable_stages_are_swept_here(self, monkeypatch, tmp_path):
+        problem = generate(3, 2, 64, seed=3)
+        want = parallel.solve_parallel(problem, J=8, workers=1)
+        monkeypatch.setattr(parallel, "SHARED_DIR", str(tmp_path / "missing"))
+        got = parallel.solve_parallel(problem, J=8, workers=2)
+        assert (got.details.workers, got.details.shared_bytes) == (1, 0)
+        assert got.details.batches == ((0, 3), (4, 6), (7, 7))
+        assert_same_solution(got, want)
+        assert_same_solution(parallel.smooth(problem, got, workers=2),
+                             parallel.smooth(problem, want, workers=1))
 
     def test_mixed_ranks_case_reaches_other_ranks(self):
         # rows still pending after two steps: two where stage 14 or 23 spent
@@ -417,6 +452,8 @@ class TestLockstep:
             parallel.solve_parallel(broken, J=16, workers=workers)
         assert info.value.stage == 13
         assert str(info.value) == "Cholesky failed at stage 13"
+        # with two workers the failing batch is swept by the pool
+        assert not shared_files()
 
 
 class TestPoolSize:
@@ -443,10 +480,54 @@ class TestPoolSize:
         assert kkt_residual(problem, sol) <= 1e-8 * tolerance_scale(problem)
 
 
+class TestSharedStages:
+    def test_solve_and_smooth_leave_no_files(self):
+        problem = generate(3, 2, 64, seed=4)
+        sol = parallel.solve_parallel(problem, J=8, workers=2)
+        assert sol.details.workers == 2
+        assert not shared_files()
+        parallel.smooth(problem, sol, workers=2)
+        assert not shared_files()
+
+    def test_details_report_shared_bytes_and_timings(self):
+        problem = generate(3, 2, 64, seed=4)
+        one = parallel.solve_parallel(problem, J=8, workers=1)
+        two = parallel.solve_parallel(problem, J=8, workers=2)
+        # the pool's run, segments 4 to 7, is stages 32 to 63
+        per_stage = sum(getattr(problem.stages, f)[0].nbytes for f in problem.stages.FIELDS)
+        assert one.details.shared_bytes == 0
+        assert two.details.shared_bytes == 32 * per_stage
+        for details in (one.details, two.details):
+            assert set(details.timings) == {
+                "publish", "local_sweep", "wait", "links", "reconstruct"}
+            assert all(t >= 0.0 for t in details.timings.values())
+
+    def test_killed_worker_raises_worker_failure_then_pool_recovers(self):
+        problem = generate(3, 2, 64, seed=4)
+        want = parallel.solve_parallel(problem, J=8, workers=1)
+        assert parallel.solve_parallel(problem, J=8, workers=2).details.workers == 2
+        for pid in list(parallel._POOLS[1]._processes):
+            os.kill(pid, signal.SIGKILL)
+        with pytest.raises(WorkerFailure):
+            parallel.solve_parallel(problem, J=8, workers=2)
+        assert not shared_files()
+        got = parallel.solve_parallel(problem, J=8, workers=2)
+        assert got.details.workers == 2
+        assert_same_solution(got, want)
+
+    def test_shutdown_pools_leaves_no_files(self):
+        problem = generate(3, 2, 64, seed=4)
+        parallel.solve_parallel(problem, J=8, workers=3)
+        parallel.shutdown_pools()
+        assert not parallel._POOLS
+        assert not shared_files()
+
+
 class TestSegmentFailures:
     @pytest.mark.parametrize("exc", [
         CholeskyFailure(3), FactorizationFailure(2), FactorizationFailure(None, "why"),
-        Infeasible(0.5, segment=1), LinkSingular("singular")])
+        Infeasible(0.5, segment=1), LinkSingular("singular"),
+        WorkerFailure("a worker process ended abruptly")])
     def test_errors_survive_pickling(self, exc):
         # worker processes hand their exceptions back pickled
         back = pickle.loads(pickle.dumps(exc))
