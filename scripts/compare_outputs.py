@@ -20,9 +20,10 @@ The inputs, all from ``parlqr.generate(n, m, T, seed)``:
 - ``(4, 1, 256, 3)`` with J=T, whose smoothing pass refines a J=8 solve;
 - ``(3, 2, 40, 7)`` with J=5 and with J=T.
 
-For each input: states, controls, multipliers and policy gains of
-``solve_serial``, of ``solve_parallel`` with 1, 2 and 3 workers and of
-``smooth`` with 1 and 2 workers, the link points, and
+For each input: states, controls, multipliers, policy gains, objective and
+KKT residual (the last two as 0-d arrays) of ``solve_serial``, of
+``solve_parallel`` with 1, 2 and 3 workers and of ``smooth`` with 1 and 2
+workers, the link points, and
 ``solve_endpoint_affine`` over the first ``min(256, T)`` stages evaluated
 at the serial solution's state there, with its ``mu``, ``Kz`` and the
 initial value's ``Vzz``.
@@ -57,6 +58,8 @@ def _solution_arrays(out, prefix, solution):
     out[f"{prefix}/lambdas"] = solution.lambdas
     out[f"{prefix}/Kx"] = np.stack([p.Kx for p in solution.policies])
     out[f"{prefix}/k1"] = np.stack([p.k1 for p in solution.policies])
+    out[f"{prefix}/objective"] = np.array(solution.objective)
+    out[f"{prefix}/kkt_residual_inf"] = np.array(solution.kkt_residual_inf)
 
 
 def dump(path):

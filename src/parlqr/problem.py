@@ -412,9 +412,12 @@ def validate(problem, tolerances=DEFAULT_TOLERANCES):
     checked = np.flatnonzero(quu_pd & finite["Qxx"] & finite["Qux"])
     Qxx, Qux = stages.Qxx[checked], stages.Qux[checked]
     schur = Qxx - np.swapaxes(Qux, 1, 2) @ np.linalg.solve(stages.Quu[checked], Qux)
-    scale = np.abs(np.linalg.eigvalsh(Qxx)).max(axis=1, initial=0.0)
-    not_psd = checked[np.linalg.eigvalsh(schur).min(axis=1)
-                      < -PSD_FLOOR * np.maximum(scale, 1.0)]
+    lowest = np.linalg.eigvalsh(schur).min(axis=1)
+    # the floor scales with max(scale, 1) >= 1, so only a stage below
+    # -PSD_FLOOR can fail it and needs the scale of its Qxx
+    low = np.flatnonzero(lowest < -PSD_FLOOR)
+    scale = np.abs(np.linalg.eigvalsh(Qxx[low])).max(axis=1, initial=0.0)
+    not_psd = checked[low[lowest[low] < -PSD_FLOOR * np.maximum(scale, 1.0)]]
     # (stage, message) in check order; the stable sort groups them by stage
     found = [(t, "asymmetry exceeds tolerance in cost")
              for t in np.flatnonzero(stages.asymmetry > SYMMETRY_TOL)]
@@ -477,12 +480,24 @@ def evaluate_objective(problem, states, controls):
         raise ValueError("states have wrong shape")
     if controls.shape != (problem.T, problem.m):
         raise ValueError("controls have wrong shape")
-    s = problem.stages
-    x, u = states[:-1], controls
-    stage = (x * (0.5 * _mv(s.Qxx, x) + s.qx1)
-             ).sum() + (u * (0.5 * _mv(s.Quu, u) + _mv(s.Qux, x) + s.qu1)).sum()
-    xT = states[-1]
-    total = stage + 0.5 * (xT @ (problem.terminal.Qxx @ xT)) + problem.terminal.qx1 @ xT
+    return objective_from_stage_costs(
+        problem, *stage_costs(problem.stages, states[:-1], controls), states[-1])
+
+
+def stage_costs(stages, x, u):
+    """Each of ``stages``' state and control cost terms, one stage a row, from
+    its state and control; :func:`evaluate_objective` sums them.  A row's
+    bits do not depend on the other stages given."""
+    s = stages
+    return (x * (0.5 * _mv(s.Qxx, x) + s.qx1),
+            u * (0.5 * _mv(s.Quu, u) + _mv(s.Qux, x) + s.qu1))
+
+
+def objective_from_stage_costs(problem, x_costs, u_costs, x_T):
+    """The objective from the :func:`stage_costs` of the whole horizon and
+    the final state."""
+    total = (x_costs.sum() + u_costs.sum() + 0.5 * (x_T @ (problem.terminal.Qxx @ x_T))
+             + problem.terminal.qx1 @ x_T)
     return float(total)
 
 
@@ -495,21 +510,34 @@ def stationarity_residuals(problem, states, controls, lambdas, mu=None, x_term=N
     defect and, when ``x_term`` is given, the endpoint defect.  Returns a
     flat array.
     """
-    s = problem.stages
-    x, xn, u = states[:-1], states[1:], controls
-    lam, lam_next = lambdas[:-1], lambdas[1:]
-    per_stage = np.concatenate([
+    per_stage = stage_residuals(problem.stages, states[:-1], states[1:], controls,
+                                lambdas[:-1], lambdas[1:])
+    return np.concatenate([per_stage.ravel(),
+                           *boundary_residuals(problem, states, lambdas, mu, x_term)])
+
+
+def stage_residuals(stages, x, x_next, u, lam, lam_next):
+    """The rows of :func:`stationarity_residuals` of each of ``stages``, one
+    stage a row, from its state, next state, control, multiplier and next
+    multiplier.  A row's bits do not depend on the other stages given."""
+    s = stages
+    return np.concatenate([
         _mv(s.Qxx, x) + _mtv(s.Qux, u) + s.qx1 + lam - _mtv(s.Fx, lam_next),
         _mv(s.Qux, x) + _mv(s.Quu, u) + s.qu1 - _mtv(s.Fu, lam_next),
-        xn - (_mv(s.Fx, x) + _mv(s.Fu, u) + s.f1),
+        x_next - (_mv(s.Fx, x) + _mv(s.Fu, u) + s.f1),
     ], axis=1)
+
+
+def boundary_residuals(problem, states, lambdas, mu=None, x_term=None):
+    """The terminal, initial-state and endpoint rows of
+    :func:`stationarity_residuals`, as a list of arrays."""
     term = problem.terminal.Qxx @ states[-1] + problem.terminal.qx1 + lambdas[-1]
     if mu is not None:
         term = term + mu
-    parts = [per_stage.ravel(), term, states[0] - problem.x_init]
+    parts = [term, states[0] - problem.x_init]
     if x_term is not None:
         parts.append(states[-1] - x_term)
-    return np.concatenate(parts)
+    return parts
 
 
 def kkt_residual(problem, solution):

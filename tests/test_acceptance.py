@@ -169,7 +169,7 @@ def test_criterion_6_scaling():
     horizons = [256, 512, 1024, 2048, 4096]
     problems = [generate(n, m, T, seed=50_000 + T) for T in horizons]
     secs = interleaved_min_of(
-        [lambda p=p: serial.solve(p) for p in problems], repeats=3)
+        [lambda p=p: serial.solve(p) for p in problems], repeats=5)
     serial_times = dict(zip(horizons, secs))
     del problems
     slope = np.polyfit(np.log(horizons),

@@ -25,6 +25,7 @@ from parlqr.problem import (
     DEFAULT_TOLERANCES,
     LqrProblem,
     StageDynamics,
+    evaluate_objective,
     kkt_residual,
 )
 
@@ -47,6 +48,11 @@ def sweep(problem, part, workers=1, collect=False):
 def shared_files():
     """Stage files of this process still in the shared directory."""
     return glob.glob(os.path.join(parallel.SHARED_DIR, f"parlqr-{os.getpid()}-*"))
+
+
+def kill_own_process(task):
+    """A pool task that ends its process as a crash would."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def assert_same_solution(got, want):
@@ -300,12 +306,23 @@ class TestLinkDiagnostics:
 
     def test_results_bit_identical_across_worker_counts(self):
         problem = generate(5, 2, 24, seed=15)
-        for J in (8, problem.T):
-            ref = parallel.solve_parallel(problem, J=J, workers=1)
+        ragged = Partition(5, (0, 1, 7, 9, 10, 24))
+        for part in (make_partition(24, 8), make_partition(24, 24), ragged):
+            ref = parallel.solve_parallel(problem, J=part.J, workers=1, partition=part)
             for w in (2, 3):
-                sol = parallel.solve_parallel(problem, J=J, workers=w)
-                for field in ("states", "controls", "lambdas"):
+                sol = parallel.solve_parallel(problem, J=part.J, workers=w, partition=part)
+                for field in ("states", "controls", "lambdas", "objective",
+                              "kkt_residual_inf"):
                     assert np.array_equal(getattr(sol, field), getattr(ref, field))
+                assert sol.details.link_mismatch == ref.details.link_mismatch
+                for name in ("Kx", "k1"):
+                    assert np.array_equal(
+                        np.stack([getattr(p, name) for p in sol.policies]),
+                        np.stack([getattr(p, name) for p in ref.policies]))
+                # the solve's own objective and residual, bit for bit
+                assert sol.kkt_residual_inf == kkt_residual(problem, sol)
+                assert sol.objective == evaluate_objective(
+                    problem, sol.states, sol.controls)
         ref = parallel.smooth(problem, parallel.solve_parallel(problem, J=8, workers=1),
                               workers=1)
         for w in (2, 3):
@@ -313,6 +330,20 @@ class TestLinkDiagnostics:
                 problem, parallel.solve_parallel(problem, J=8, workers=w), workers=w)
             assert np.array_equal(sol.states, ref.states)
             assert np.array_equal(sol.controls, ref.controls)
+
+    def test_link_factorization_runs_on_one_lapack_thread(self, monkeypatch):
+        calls = []
+
+        def set_threads(threads):  # returns the count it replaces
+            calls.append(threads)
+            return 4 if threads == 1 else 1
+
+        monkeypatch.setattr(parallel, "_lapack_thread_setter", lambda: set_threads)
+        # 2n - 1 = 65 bands take LAPACK's blocked factorization; 5 do not
+        parallel.solve_parallel(generate(33, 10, 16, seed=3), J=4, workers=1)
+        assert calls == [1, 4]
+        parallel.solve_parallel(generate(3, 2, 16, seed=3), J=4, workers=1)
+        assert calls == [1, 4]
 
     def test_band_matrix_matches_dense_assembly(self, monkeypatch):
         # unit segments with m < n: every segment but the last has rows
@@ -406,9 +437,9 @@ class TestLockstep:
     def test_sent_tasks_carry_no_stage_data(self, monkeypatch):
         sent, run_tasks = [], parallel._run_tasks
 
-        def capture(local, remote, workers, timings):
+        def capture(local, remote):
             sent.append([len(pickle.dumps(task)) for task in remote])
-            return run_tasks(local, remote, workers, timings)
+            return run_tasks(local, remote)
 
         monkeypatch.setattr(parallel, "_run_tasks", capture)
         short, long = (parallel.solve_parallel(generate(3, 2, T, seed=3), J=8, workers=2)
@@ -416,11 +447,12 @@ class TestLockstep:
         # one batch per worker per kind of segment, at any horizon
         assert short.details.batches == long.details.batches == ((0, 3), (4, 6), (7, 7))
         assert long.details.shared_bytes > 7 * short.details.shared_bytes
-        # eight times the stages, yet each sent task keeps its size up to the
-        # pickled width of the stage numbers and byte offsets it names
-        short_sizes, long_sizes = sent
-        assert len(short_sizes) == len(long_sizes) == 2
-        for a, b in zip(short_sizes, long_sizes):
+        # eight times the stages, yet each sent task, the sweep and the
+        # reconstruction of the pool's run, keeps its size up to the pickled
+        # width of the stage numbers and byte offsets it names
+        short_sweep, short_finish, long_sweep, long_finish = sent
+        assert len(short_sweep) == len(short_finish) == 1
+        for a, b in zip(short_sweep + short_finish, long_sweep + long_finish):
             assert abs(a - b) <= 32
             assert b < short.details.shared_bytes / 10
 
@@ -458,7 +490,7 @@ class TestLockstep:
 
 class TestPoolSize:
     def test_pool_never_gets_more_processes_than_tasks(self, monkeypatch):
-        asked = []
+        asked, slots = [], []
 
         class InProcessPool:
             def submit(self, fn, task):
@@ -466,17 +498,23 @@ class TestPoolSize:
                 future.set_result(fn(task))
                 return future
 
-        def get_pool(workers):
-            asked.append(workers)
+        def get_pool(slot):
+            asked.append(slot)
             return InProcessPool()
+
+        def slots_used(result):
+            slots.append(sorted(set(asked)))
+            asked.clear()
+            return result
 
         monkeypatch.setattr(parallel, "_get_pool", get_pool)
         problem = generate(3, 2, 16, seed=3)
-        sol = parallel.solve_parallel(problem, J=8, workers=5000)
+        sol = slots_used(parallel.solve_parallel(problem, J=8, workers=5000))
         monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "5000")
-        parallel.smooth(problem, parallel.solve_parallel(problem, J=8))
-        # this process sweeps one of the tasks itself
-        assert asked == [7, 7, 6]
+        base = slots_used(parallel.solve_parallel(problem, J=8))
+        slots_used(parallel.smooth(problem, base))
+        # this process sweeps one of the runs itself, each slot one other
+        assert slots == [list(range(7)), list(range(7)), list(range(6))]
         assert kkt_residual(problem, sol) <= 1e-8 * tolerance_scale(problem)
 
 
@@ -499,17 +537,33 @@ class TestSharedStages:
         assert two.details.shared_bytes == 32 * per_stage
         for details in (one.details, two.details):
             assert set(details.timings) == {
-                "publish", "local_sweep", "wait", "links", "reconstruct"}
+                "publish", "local_sweep", "wait", "links", "reconstruct", "residual"}
             assert all(t >= 0.0 for t in details.timings.values())
 
     def test_killed_worker_raises_worker_failure_then_pool_recovers(self):
         problem = generate(3, 2, 64, seed=4)
         want = parallel.solve_parallel(problem, J=8, workers=1)
         assert parallel.solve_parallel(problem, J=8, workers=2).details.workers == 2
-        for pid in list(parallel._POOLS[1]._processes):
-            os.kill(pid, signal.SIGKILL)
+        for pool in parallel._POOLS.values():
+            for pid in list(pool._processes):
+                os.kill(pid, signal.SIGKILL)
         with pytest.raises(WorkerFailure):
             parallel.solve_parallel(problem, J=8, workers=2)
+        assert not shared_files()
+        got = parallel.solve_parallel(problem, J=8, workers=2)
+        assert got.details.workers == 2
+        assert_same_solution(got, want)
+
+    def test_worker_killed_in_reconstruction_raises_worker_failure(self, monkeypatch):
+        problem = generate(3, 2, 64, seed=4)
+        want = parallel.solve_parallel(problem, J=8, workers=1)
+        parallel.shutdown_pools()
+        with monkeypatch.context() as patch:
+            # the pool forks with a phase 3 that kills its own process
+            patch.setattr(parallel, "_finish_shared", kill_own_process)
+            with pytest.raises(WorkerFailure):
+                parallel.solve_parallel(problem, J=8, workers=2)
+        assert not parallel._POOLS
         assert not shared_files()
         got = parallel.solve_parallel(problem, J=8, workers=2)
         assert got.details.workers == 2

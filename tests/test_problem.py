@@ -6,6 +6,7 @@ import pytest
 from parlqr import kkt, serial
 from parlqr.generate import generate
 from parlqr.problem import (
+    PSD_FLOOR,
     AffinePolicy,
     LqrProblem,
     StageCost,
@@ -76,6 +77,25 @@ class TestValidate:
             "non-finite entries in Qux at stage 6",
             "terminal cost not positive semi-definite",
             "non-finite entries in x_init",
+        ]
+
+    def test_state_cost_floor_scales_with_qxx(self):
+        # a stage is flagged below -PSD_FLOOR * max(largest |eig(Qxx)|, 1)
+        dyn = StageDynamics(np.eye(2), np.ones((2, 1)), np.zeros(2))
+
+        def stage(top, lowest):
+            return (StageCost(np.diag([top, lowest]), np.zeros((1, 2)), [[1.0]],
+                              np.zeros(2), np.zeros(1)), dyn)
+
+        problem = LqrProblem([
+            stage(1e4, -1e3 * PSD_FLOOR),   # below -PSD_FLOOR, above the scaled floor
+            stage(1e4, -1e5 * PSD_FLOOR),   # below the scaled floor
+            stage(0.5, -0.75 * PSD_FLOOR),  # scale below 1: the floor is -PSD_FLOOR
+            stage(0.5, -2.0 * PSD_FLOOR),
+        ], TerminalCost.zero(2), np.zeros(2))
+        assert list(validate(problem).errors) == [
+            "control-eliminated state cost not PSD at stage 1",
+            "control-eliminated state cost not PSD at stage 3",
         ]
 
     def test_generated_problems_always_valid(self):
