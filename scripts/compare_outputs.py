@@ -7,10 +7,10 @@ Each tree is imported in its own subprocess, which solves a fixed input set
 and saves every output array.  The script then prints, for each array,
 whether the two trees agree bit for bit (``numpy.array_equal``) and the
 largest absolute difference, and, for each tree, whether the partitioned
-solves agree bit for bit across worker counts 1, 2 and 3.  It exits with
-code 1 when any array differs.  The subprocesses inherit the environment,
-so ``OPENBLAS_NUM_THREADS=1 python scripts/compare_outputs.py ...`` compares
-single-threaded BLAS runs.
+solves and the smoothing passes agree bit for bit across worker counts 1, 2
+and 3.  It exits with code 1 when any array differs between the trees.
+The subprocesses inherit the environment, so ``OPENBLAS_NUM_THREADS=1
+python scripts/compare_outputs.py ...`` compares single-threaded BLAS runs.
 
 The inputs, all from ``parlqr.generate(n, m, T, seed)``:
 
@@ -22,8 +22,8 @@ The inputs, all from ``parlqr.generate(n, m, T, seed)``:
 
 For each input: states, controls, multipliers, policy gains, objective and
 KKT residual (the last two as 0-d arrays) of ``solve_serial``, of
-``solve_parallel`` with 1, 2 and 3 workers and of ``smooth`` with 1 and 2
-workers, the link points, and
+``solve_parallel`` and of ``smooth`` with 1, 2 and 3 workers, the link
+points, and
 ``solve_endpoint_affine`` over the first ``min(256, T)`` stages evaluated
 at the serial solution's state there, with its ``mu``, ``Kz`` and the
 initial value's ``Vzz``.
@@ -48,7 +48,7 @@ INPUTS = [  # (n, m, T, seed, J of the solve, J of the solve that smooth refines
     (3, 2, 40, 7, 40, 5),
 ]
 WORKERS = (1, 2, 3)
-SMOOTH_WORKERS = (1, 2)
+SMOOTH_WORKERS = (1, 2, 3)
 ENDPOINT_T = 256
 
 
@@ -128,15 +128,16 @@ def compare(parent_src, change_src):
     print(f"# parent against change: {differ} of "
           f"{len(set(parent) | set(change))} arrays differ")
     for label, arrays in (("parent", parent), ("change", change)):
-        split = [key for key in arrays if "/parallel w1/" in key]
-        uneven = [key.replace(" w1/", f" w{w}/") for key in split for w in WORKERS[1:]
-                  if not np.array_equal(arrays[key],
-                                        arrays[key.replace(" w1/", f" w{w}/")])]
-        print(f"# {label}: parallel outputs across workers {WORKERS}: "
-              f"{len(uneven)} of {len(split) * (len(WORKERS) - 1)} arrays differ "
-              "from one worker's")
-        for key in uneven:
-            print(f"#   {key}")
+        for solver, workers in (("parallel", WORKERS), ("smooth", SMOOTH_WORKERS)):
+            split = [key for key in arrays if f"/{solver} w1/" in key]
+            uneven = [key.replace(" w1/", f" w{w}/") for key in split for w in workers[1:]
+                      if not np.array_equal(arrays[key],
+                                            arrays[key.replace(" w1/", f" w{w}/")])]
+            print(f"# {label}: {solver} outputs across workers {workers}: "
+                  f"{len(uneven)} of {len(split) * (len(workers) - 1)} arrays differ "
+                  "from one worker's")
+            for key in uneven:
+                print(f"#   {key}")
     return 1 if differ else 0
 
 

@@ -47,7 +47,9 @@ from scipy.linalg.lapack import dposv
 
 from .errors import CholeskyFailure, FactorizationFailure, Infeasible
 from .problem import (
+    COST_FIELDS,
     DEFAULT_TOLERANCES,
+    DYNAMICS_FIELDS,
     AffinePolicy,
     LqrProblem,
     LqrSolution,
@@ -329,25 +331,27 @@ def sweep_segments(stages, splits, Qxx_T, qx1_T, k, tolerances=DEFAULT_TOLERANCE
     steps = []
 
     for i, (B, rows) in enumerate(plan):
-        if lone:
+        if lone:  # the stage's cached pair of views
             (cost, dyn), where = stages[rows], rows
+            Qxx, Qux, Quu, qx1, qu1 = cost.Qxx, cost.Qux, cost.Quu, cost.qx1, cost.qu1
+            Fx, Fu, f1 = dyn.Fx, dyn.Fu, dyn.f1
         else:
-            cost = dyn = stages[rows]
+            Qxx, Qux, Quu, qx1, qu1, Fx, Fu, f1 = (
+                getattr(stages, field)[rows] for field in COST_FIELDS + DYNAMICS_FIELDS)
             rhs, where = rhs_all[:B], stage_index[rows]
             Vxx, Vzx, Vzz, vx1, vz1, const = (
                 block[:B] for block in (Vxx, Vzx, Vzz, vx1, vz1, const))
-        Fx, Fu, f1 = dyn.Fx, dyn.Fu, dyn.f1
         F = np.concatenate((Fx, Fu), axis=-1)
         H = F.mT @ (Vxx @ F)
         Vf1 = np.matvec(Vxx, f1)
         g = np.matvec(F.mT, vx1 + Vf1)
-        np.add(cost.Qux, H[..., n:, :n], out=rhs[..., :n])
+        np.add(Qux, H[..., n:, :n], out=rhs[..., :n])
         if k:
             MzF = Vzx @ F
             mz1 = vz1 + np.matvec(Vzx, f1)
             rhs[..., n:e] = MzF[..., n:].mT
-        np.add(cost.qu1, g[..., n:], out=rhs[..., e])
-        Muu = cost.Quu + H[..., n:, n:]
+        np.add(qu1, g[..., n:], out=rhs[..., e])
+        Muu = Quu + H[..., n:, n:]
 
         # gains stacked as [Kx | Kz | k1], an m x (e+1) block per segment
         if not groups:
@@ -368,9 +372,9 @@ def sweep_segments(stages, splits, Qxx_T, qx1_T, k, tolerances=DEFAULT_TOLERANCE
                 A[at] = value_update(Muu[at], rhs[at], gains)
 
         const = const + np.vecdot(f1, vx1 + 0.5 * Vf1) + 0.5 * A[..., e, e]
-        Vxx = cost.Qxx + H[..., :n, :n] + A[..., :n, :n]
+        Vxx = Qxx + H[..., :n, :n] + A[..., :n, :n]
         Vxx = 0.5 * (Vxx + Vxx.mT)
-        vx1 = cost.qx1 + g[..., :n] + A[..., :n, e]
+        vx1 = qx1 + g[..., :n] + A[..., :n, e]
         if k:
             Vzx = MzF[..., :n] + A[..., n:e, :n]
             Vzz = Vzz + A[..., n:e, n:e]  # both terms exactly symmetric

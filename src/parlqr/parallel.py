@@ -23,32 +23,32 @@ state and the endpoint of a segment, corrected by the feasibility-row
 multipliers; interior multipliers then follow the stationarity recursion
 within each segment.
 
-The solve runs in three phases, and each process owns a contiguous run of
-segments through all of them: the calling process the first run, each
-worker slot of the pool (a single-process pool per slot, so that a task
-reaches the process it names) one more.  In phase 1 each process sweeps
-its run as one lockstep batch per kind of segment
-(:func:`parlqr.endpoint.sweep_segments`), keeps the gains and returns only
-the link blocks: each segment's initial cost-to-go, feasibility rows and
-diagnostics.  Phase 2 is the link solve in the calling process.  In phase
-3 each process gets its segments' first states, link points and end
-multipliers, rolls its run out and runs the costate recursion in lockstep,
-folds ``Kz z`` into ``k1``, checks the KKT rows of its stages and computes
-their cost terms; the calling process finishes the rows that need a
-multiplier from the next run and the terminal and initial rows, and sums
-the cost terms.  A segment's bits do
-not depend on its run or the worker count.
+The solve runs in three phases over contiguous runs of segments: the
+calling process takes the first run, each worker slot of the pool (a
+single-process pool per slot) one more.  Phases 1 and 3 are functions of a
+run's stages and its record, the run's gains and results, one stack per
+field, so no process keeps anything between phases.  In phase 1 each
+process sweeps its run as one lockstep batch per kind of segment
+(:func:`parlqr.endpoint.sweep_segments`), writes the gains to the record
+and returns only the link blocks: each segment's initial cost-to-go,
+feasibility rows and diagnostics.  Phase 2 is the link solve in the
+calling process.  In phase 3 each run gets its segments' first states,
+link points and end multipliers, reads its gains, rolls out and runs the
+costate recursion in lockstep, folds ``Kz z`` into ``k1``, checks the KKT
+rows of its stages, computes their cost terms and writes it all to the
+record; the calling process stacks the records, finishes the rows that
+need a multiplier from the next run and the terminal and initial rows, and
+sums the cost terms.  A segment's bits do not depend on its run or the
+worker count.
 
-The pool's stage data travels through one file per solve in a
-memory-backed directory (:data:`SHARED_DIR`): the calling process writes
-the pool's stages there, each phase-1 task names only the file, its byte
-layout and the run's stage range, and the worker maps the file.  Behind
-the stages the file holds a record stack, one row of state, control,
-multiplier, ``k1``, cost terms and ``Kx`` per stage, which each worker fills for its
-run (``Kx`` in phase 1, the rest in phase 3) and the calling process reads
-after phase 3.  The file's name is removed once phase 1 is done; the
-mappings keep its data until phase 3 is.  Where it cannot be created, the
-calling process owns every run.
+The pool's runs travel through one file per solve in a memory-backed
+directory (:data:`SHARED_DIR`): the calling process writes the pool's
+stages there, followed by room for the pool's records, and a task names the
+file, the dimensions and its run's stages, from which both sides derive
+the byte layout; the worker maps the file.  The calling process's own runs
+keep their records in arrays.  The file's name is removed once phase 3 is
+done (phase 1, for :func:`smooth`) or the solve fails.  Where the file
+cannot be created, the calling process takes every run.
 """
 
 from __future__ import annotations
@@ -162,19 +162,20 @@ def default_workers(J):
 # ---------------------------------------------------------------------------
 # worker pool
 
-# One single-process pool per worker slot, so that a run's phase 3 goes to
-# the process that swept it
+# One single-process pool per worker slot, so that each run of segments
+# meets one process per phase
 _POOLS = {}
-
-# The run of segments each worker slot served by this process keeps from
-# its sweep to its phase 3: ``slot -> (path, stages, gains, record)``,
-# replaced by the slot's next run when a solve fails in between
-_OWNED = {}
 
 # Directory of the per-solve stage files (a memory-backed filesystem) and
 # the counter that names them within this process
 SHARED_DIR = "/dev/shm"
 _FILE_NUMBERS = itertools.count()
+
+# The fields of a run's record, one stack each: the gains phase 1 writes
+# (``Kz`` over the endpoint segments alone) and what phase 3 writes, ``k1``
+# again with ``Kz z`` folded in; states and multipliers have one row more,
+# the horizon's end where the run ends it
+RECORD = ("Kx", "k1", "Kz", "states", "controls", "lambdas", "x_costs", "u_costs")
 
 
 def _get_pool(slot):
@@ -196,59 +197,74 @@ def shutdown_pools():
 atexit.register(shutdown_pools)
 
 
-def _publish(stages, path, width=0):
-    """Write ``stages`` to a new file at ``path``, one stack after another at
-    64-byte aligned offsets, and, with a ``width``, leave room after them
-    for a record stack of that many floats per stage, one row more than
-    ``stages``, from a page boundary on.  Return each stack's ``(offset,
-    dtype, row shape)``, the stages' in :attr:`StageStack.FIELDS` order and
-    then the record's, the stage bytes written and a read-only view of the
-    record stack (None without one).
+def _extent(name, lo, hi, kz_end):
+    """The rows ``[first, end)`` of stage or record field ``name`` that the
+    run over stages ``[lo, hi)`` has, the endpoint segments ending at
+    ``kz_end``."""
+    if name == "Kz":
+        return lo, max(lo, min(hi, kz_end))
+    return lo, hi + (name in ("states", "lambdas"))
 
-    The stages go out through ``os.pwrite``, so this process maps the
-    record stack alone.  The file is removed again if writing fails.
+
+def _layout(n, m, rows, kz_end):
+    """Byte offset and shape of each stack of a shared file over ``rows``
+    stages, 64-byte aligned: the stage fields in :attr:`StageStack.FIELDS`
+    order, then the :data:`RECORD` of one run over all of them; and the
+    file's size.  Both sides of the file derive it
+    from the dimensions, so a task names none of its offsets."""
+    shapes = {"Qxx": (n, n), "Qux": (m, n), "Quu": (m, m), "qx1": (n,), "qu1": (m,),
+              "Fx": (n, n), "Fu": (n, m), "f1": (n,), "asymmetry": (),
+              "Kx": (m, n), "k1": (m,), "Kz": (m, n), "states": (n,), "controls": (m,),
+              "lambdas": (n,), "x_costs": (n,), "u_costs": (m,)}
+    layout, size = {}, 0
+    for name in StageStack.FIELDS + RECORD:
+        first, last = _extent(name, 0, rows, kz_end)
+        layout[name] = size, (last - first, *shapes[name])
+        size += -(-math.prod(layout[name][1]) // 8) * 64
+    return layout, size
+
+
+def _views(buffer, layout, names, lo, hi, kz_end):
+    """Views of the stacks ``names`` of a :func:`_layout` file in ``buffer``,
+    each over the rows the run over its stages ``[lo, hi)`` has."""
+    views = {}
+    for name in names:
+        offset, shape = layout[name]
+        stack = np.frombuffer(buffer, float, math.prod(shape), offset).reshape(shape)
+        views[name] = stack[slice(*_extent(name, lo, hi, kz_end))]
+    return views
+
+
+def _new_record(n, m, rows, kz_end):
+    """The record of a run over ``rows`` stages in arrays of its own."""
+    layout, _ = _layout(n, m, rows, kz_end)
+    return {name: np.empty(layout[name][1]) for name in RECORD}
+
+
+def _publish(stages, path, layout, size):
+    """Write ``stages`` to a new file at ``path`` at their :func:`_layout`
+    offsets and reserve the rest of its ``size`` bytes for the record.
+    Returns the stage bytes written and a read-only mapping of the file.
+
+    The stages go out through ``os.pwrite``, so this process only ever
+    touches the record's pages.  The file is removed again if writing fails.
     """
     fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
-    layout, end, record = [], 0, None
     try:
         for field in StageStack.FIELDS:
-            arr = np.ascontiguousarray(getattr(stages, field))
-            at = offset = -(-end // 64) * 64
-            data = memoryview(arr).cast("B")
+            data = memoryview(np.ascontiguousarray(getattr(stages, field), float)).cast("B")
+            at, _ = layout[field]
             while data:
                 written = os.pwrite(fd, data, at)
                 data, at = data[written:], at + written
-            layout.append((offset, arr.dtype.str, arr.shape[1:]))
-            end = offset + arr.nbytes
-        if width:
-            page = mmap.ALLOCATIONGRANULARITY
-            offset = -(-end // page) * page
-            layout.append((offset, np.dtype(float).str, (width,)))
-            size = (len(stages) + 1) * width * np.dtype(float).itemsize
-            os.posix_fallocate(fd, offset, size)  # no room shows here, not in a worker
-            record = np.frombuffer(mmap.mmap(fd, size, access=mmap.ACCESS_READ, offset=offset))
+        os.posix_fallocate(fd, 0, size)  # no room shows here, not in a worker
+        mapped = mmap.mmap(fd, size, access=mmap.ACCESS_READ)
     except BaseException:
         os.unlink(path)
         raise
     finally:
         os.close(fd)
-    shared = sum(getattr(stages, f).nbytes for f in StageStack.FIELDS)
-    return tuple(layout), shared, None if record is None else record.reshape(-1, width)
-
-
-def _record_width(n, m):
-    """Floats per stage of a phase-3 record: state, control, multiplier,
-    ``k1``, state and control cost terms and ``Kx``."""
-    return 3 * (n + m) + m * n
-
-
-def _record_columns(record, stages):
-    """Views of a record stack's states, controls, multipliers, ``k1``, cost
-    terms and ``Kx`` for the dimensions of ``stages``."""
-    n, m = stages.Qxx.shape[1], stages.Quu.shape[1]
-    bounds = np.cumsum([0, n, m, n, m, n, m, m * n])
-    *columns, Kx = (record[:, a:b] for a, b in zip(bounds[:-1], bounds[1:]))
-    return *columns, Kx.reshape(len(record), m, n)
+    return sum(getattr(stages, f).nbytes for f in StageStack.FIELDS), mapped
 
 
 def _run_tasks(local, remote):
@@ -257,8 +273,7 @@ def _run_tasks(local, remote):
     ``i``; with the seconds spent on the local calls and waiting for the rest.
 
     Raises :class:`WorkerFailure` when a pool process dies; every pool is
-    then dropped, with the runs its processes keep, so the next solve
-    starts new ones.
+    then dropped, so the next solve starts new ones.
     """
     futures = []
     try:
@@ -277,26 +292,33 @@ def _run_tasks(local, remote):
 
 
 def _merge(results):
-    """Dicts of per-segment or per-stage results, stacked key by key."""
+    """Dicts of per-segment results, stacked key by key."""
     merged = {key: [r[key] for r in results if key in r] for key in set().union(*results)}
     return {key: sum(v, ()) if isinstance(v[0], tuple) else np.concatenate(v)
             for key, v in merged.items()}
 
 
-def _sweep_run(stages, lo, batches):
-    """Lockstep sweep of one run of segments, one batch per kind of segment.
+def _join(records, name):
+    """Field ``name`` of consecutive runs' records, stacked over their stages
+    and, from the last record, the horizon's end."""
+    *head, last = records
+    ended = name in ("states", "lambdas")
+    return np.concatenate([r[name][:-1] if ended else r[name] for r in head] + [last[name]])
+
+
+def _sweep_run(stages, record, lo, batches):
+    """Phase 1 of one run of segments: a lockstep sweep per kind of segment.
 
     ``stages`` holds the run's stages, the first of them stage ``lo`` of
     the horizon.  Each batch is ``(splits, k, terminal, tolerances,
-    collect)``, its segment bounds counted from the run's first stage;
-    ``terminal`` is None for endpoint segments (``k = n``), whose terminal
-    cost is zero.  Returns the link blocks (each segment's initial
-    cost-to-go and diagnostics and, where endpoint-constrained, its rows)
-    and the gains ``Kx``, ``k1`` and, over the endpoint segments, ``Kz``,
-    stacked in stage order.
+    collect)``, its segment bounds on the horizon; ``terminal`` is None for
+    endpoint segments (``k = n``), whose terminal cost is zero.  Writes the
+    gains ``Kx``, ``k1`` and, over the endpoint segments, ``Kz`` into the
+    run's ``record`` and returns the link blocks: each segment's initial
+    cost-to-go and diagnostics and, where endpoint-constrained, its rows.
     """
     n = stages.Qxx.shape[1]
-    blocks, gains = [], []
+    blocks = []
     for splits, k, terminal, tolerances, collect in batches:
         first = splits[0]
         if terminal is None:
@@ -304,96 +326,78 @@ def _sweep_run(stages, lo, batches):
         local = tuple(s - first for s in splits)
         try:
             order, diagnostics, steps = ep.sweep_segments(
-                stages[first:splits[-1]], local, *terminal, k, tolerances, collect)
+                stages[first - lo:splits[-1] - lo], local, *terminal, k, tolerances, collect)
         except CholeskyFailure as exc:
             # report the stage on the global horizon, not within the batch
-            raise CholeskyFailure(lo + first + exc.stage) from exc
+            raise CholeskyFailure(first + exc.stage) from exc
         g, (Vxx, Vzx, Vzz, vx1, vz1), feasibility = ep.segment_ends(local, order, steps)
+        rows = slice(first - lo, splits[-1] - lo)
+        record["Kx"][rows], record["k1"][rows] = g[:, :, :n], g[:, :, -1]
         blocks.append({"Vxx": Vxx, "vx1": vx1, "diagnostics": tuple(diagnostics)})
-        gains.append({"Kx": g[:, :, :n], "k1": g[:, :, -1]})
         if k:
+            record["Kz"][rows] = g[:, :, n:-1]
             blocks[-1].update(Vzx=Vzx, Vzz=Vzz, vz1=vz1,
                               feasibility=tuple((c.Hx, c.Hz, c.h1) for c in feasibility))
-            gains[-1]["Kz"] = g[:, :, n:-1]
-    return _merge(blocks), _merge(gains)
+    return _merge(blocks)
 
 
-def _sweep_shared(task):
-    """:func:`_sweep_run` over stages read from a :func:`_publish` file.
+def _on_shared(fn, task):
+    """``fn(stages, record, lo, *args)`` of a pool run, over its views in a
+    :func:`_publish` file.
 
-    ``task`` is ``(path, (base, layout), lo, hi, batches, slot)``: the file
-    holds stages ``base, base + 1, ...`` and the run is stages ``[lo, hi)``,
-    whose stacks are views into the mapped file.  Without a ``slot`` this
-    returns the link blocks and the gains, and the mapping goes with the
-    views.  With one, the file is mapped writable and has a record stack:
-    this process writes its rows' ``Kx`` there, keeps the stage views, the
-    gains and its record rows for the run's :func:`_finish_shared` and
-    returns the link blocks alone.
+    ``task`` is ``((path, base, end, kz_end, n, m), lo, hi, *args)``: the
+    file holds stages ``[base, end)`` and the record of one run over them,
+    the endpoint segments end at stage ``kz_end``, and this run is stages
+    ``[lo, hi)``.
     """
-    path, (base, layout), lo, hi, batches, slot = task
-    with open(path, "rb" if slot is None else "r+b") as file:
-        mapped = mmap.mmap(file.fileno(), 0, access=(
-            mmap.ACCESS_READ if slot is None else mmap.ACCESS_WRITE))
-    fields, stacks = len(StageStack.FIELDS), []
-    for i, (offset, dtype, shape) in enumerate(layout):
-        rows = hi - lo + (i == fields)  # a record has the run's end point too
-        size = math.prod(shape)
-        at = offset + (lo - base) * size * np.dtype(dtype).itemsize
-        stacks.append(np.frombuffer(mapped, dtype, rows * size, at).reshape(rows, *shape))
+    (path, base, end, kz_end, n, m), lo, hi, *args = task
+    with open(path, "r+b") as file:
+        mapped = mmap.mmap(file.fileno(), 0)
+    layout, _ = _layout(n, m, end - base, kz_end - base)
+    record = _views(mapped, layout, StageStack.FIELDS + RECORD, lo - base, hi - base,
+                    kz_end - base)
     del mapped
-    stages = StageStack(*stacks[:fields])
+    stages = StageStack(*(record.pop(field) for field in StageStack.FIELDS))
     try:
-        blocks, gains = _sweep_run(stages, lo, batches)
+        return fn(stages, record, lo, *args)
     except BaseException as exc:
         # the frames of the error's traceback hold views of the mapping
         while exc is not None:
             traceback.clear_frames(exc.__traceback__)
             exc = exc.__cause__ or exc.__context__
         raise
-    if slot is None:
-        return blocks, gains
-    record = stacks[-1]
-    _record_columns(record, stages)[-1][:hi - lo] = gains["Kx"]
-    _OWNED[slot] = path, stages, gains, record
-    return blocks, None
+
+
+def _sweep_shared(task):
+    """:func:`_sweep_run` of a pool run (:func:`_on_shared`)."""
+    return _on_shared(_sweep_run, task)
 
 
 def _finish_shared(task):
-    """:func:`_reconstruct` of the run this process keeps for a worker slot,
-    written to its record rows; returns the run's largest KKT row entry.
-
-    ``task`` is ``(slot, path, *rest)``: ``path`` names the solve's stage
-    file, so a run kept for another solve is never taken for this one.
-    """
-    slot, path, *rest = task
-    kept, stages, gains, record = _OWNED.pop(slot, (None,) * 4)
-    if kept != path:
-        raise WorkerFailure(f"worker slot {slot} no longer holds its segments")
-    *parts, residual = _reconstruct(stages, gains, *rest)
-    for column, part in zip(_record_columns(record, stages), parts):
-        column[:len(part)] = part
-    return residual
+    """:func:`_reconstruct` of a pool run (:func:`_on_shared`)."""
+    return _on_shared(_reconstruct, task)
 
 
-def _sweep(problem, splits, workers, constrained, terminal, tolerances, collect,
-           keep=False):
-    """Sweep the segments ``[splits[j], splits[j+1])``, the first ``constrained``
-    endpoint-constrained, each other ``j`` ending in ``terminal[:][j - constrained]``.
+def _sweep(problem, splits, workers, constrained, terminal, tolerances, collect):
+    """Phase 1 over the segments ``[splits[j], splits[j+1])``, the first
+    ``constrained`` endpoint-constrained, each other ``j`` ending in
+    ``terminal[:][j - constrained]``.
 
     Each process gets a run of segments, this process the first and each
     worker slot one more, and sweeps it as one lockstep batch per kind of
-    segment.  The pool's stages go through one file in :data:`SHARED_DIR`,
-    removed once the sweeps are done; if it cannot be created, this process
-    sweeps every run.  Returns the link blocks stacked in segment order
-    (with ``keep`` alone; else the gains too, stacked in stage order), the
-    batches' ``(first, last)`` segments, the processes used, the bytes
-    shared, the ``publish``, ``local_sweep`` and ``wait`` spans in seconds
-    and, with ``keep``, what :func:`_reconstruct_runs` needs: per run its
-    ``(first, last)`` segments and its stages and gains where kept here
-    (else None), the file's path, the pool's first stage and the record
-    stack.
+    segment into the run's record: this process's runs' in arrays of their
+    own, the pool's in one file in :data:`SHARED_DIR` behind their stages,
+    one stack per field over all its runs.  If the file cannot be created,
+    this process sweeps every run.  Returns the link blocks stacked in
+    segment order, the batches' ``(first, last)`` segments, the processes
+    used, the bytes shared, the ``publish``, ``local_sweep`` and ``wait``
+    spans in seconds and the runs: per run its ``(first, last)`` segments
+    and its stages ``(lo, hi)``, the records (this process's runs', then
+    the pool's stacks) and the pool's file header (else None).  The caller
+    removes the file, ``header[0]``, when done with it; this does if the
+    sweep fails.
     """
-    J = len(splits) - 1
+    J, n, m = len(splits) - 1, problem.n, problem.m
     runs = [(int(run[0]), int(run[-1]))
             for run in np.array_split(np.arange(J), min(workers, J))]
     batches = []
@@ -402,43 +406,39 @@ def _sweep(problem, splits, workers, constrained, terminal, tolerances, collect,
             if j in (first, constrained):
                 batches.append([j, j])
             batches[-1][1] = j
-    tasks = []
-    for first, last in runs:
-        lo = splits[first]
-        tasks.append((lo, splits[last + 1], tuple(
-            (tuple(s - lo for s in splits[a:b + 2]),
-             problem.n if a < constrained else 0,
-             None if a < constrained else tuple(
-                 x[a - constrained:b + 1 - constrained] for x in terminal),
-             tolerances, collect and a < constrained)
-            for a, b in batches if first <= a <= last)))
-    stages, path, shared, local, base, record = problem.stages, None, 0, 1, None, None
+    runs = [(first, last, splits[first], splits[last + 1]) for first, last in runs]
+    tasks = [(lo, hi, tuple(
+        (tuple(splits[a:b + 2]), n if a < constrained else 0,
+         None if a < constrained else tuple(
+             x[a - constrained:b + 1 - constrained] for x in terminal),
+         tolerances, collect and a < constrained)
+        for a, b in batches if first <= a <= last)) for first, last, lo, hi in runs]
+    stages, kz_end, shared, local, header = problem.stages, splits[constrained], 0, 1, None
     tic = time.perf_counter()
-    if len(tasks) > 1:
-        base = tasks[1][0]
-        path = os.path.join(SHARED_DIR, f"parlqr-{os.getpid()}-{next(_FILE_NUMBERS)}")
+    if len(runs) > 1:
+        base, end = tasks[1][0], splits[-1]
+        header = (os.path.join(SHARED_DIR, f"parlqr-{os.getpid()}-{next(_FILE_NUMBERS)}"),
+                  base, end, kz_end, n, m)
+        layout, size = _layout(n, m, end - base, kz_end - base)
         try:
-            layout, shared, record = _publish(
-                stages[base:splits[-1]], path, _record_width(problem.n, problem.m) if keep else 0)
+            shared, mapped = _publish(stages[base:end], header[0], layout, size)
         except OSError:  # no shared directory or no room: sweep here
-            path, local = None, len(tasks)
+            header, local = None, len(tasks)
     timings = {"publish": time.perf_counter() - tic}
     try:
+        records = [_new_record(n, m, hi - lo, kz_end - lo) for lo, hi, _ in tasks[:local]]
         results, timings["local_sweep"], timings["wait"] = _run_tasks(
-            [(_sweep_run, (stages[lo:hi], lo, batch)) for lo, hi, batch in tasks[:local]],
-            [(_sweep_shared, (path, (base, layout), *task, slot if keep else None))
-             for slot, task in enumerate(tasks[local:])])
-    finally:
-        if path is not None:
-            os.unlink(path)
-    seg, held = _merge([blocks for blocks, _ in results]), None
-    if keep:
-        held = [(run, None if gains is None else (stages[lo:hi], gains))
-                for run, (lo, hi, _), (_, gains) in zip(runs, tasks, results)], path, base, record
-    else:
-        seg.update(_merge([gains for _, gains in results]))
-    return (seg, tuple(map(tuple, batches)), len(tasks) if local < len(tasks) else 1,
-            shared, timings, held)
+            [(_sweep_run, (stages[lo:hi], record, lo, batch))
+             for (lo, hi, batch), record in zip(tasks, records)],
+            [(_sweep_shared, (header, *task)) for task in tasks[local:]])
+    except BaseException:
+        if header is not None:
+            os.unlink(header[0])
+        raise
+    if header is not None:  # the pool's stacks, after this process's runs
+        records.append(_views(mapped, layout, RECORD, 0, end - base, kz_end - base))
+    return (_merge(results), tuple(map(tuple, batches)), len(tasks) if local < len(tasks) else 1,
+            shared, timings, (runs, records, header))
 
 
 # ---------------------------------------------------------------------------
@@ -582,34 +582,33 @@ def _inverse_norm1(lub, piv, bw):
 # ---------------------------------------------------------------------------
 # solve and reconstruct
 
-def _reconstruct(stages, gains, splits, starts, links, seeds, terminal):
+def _reconstruct(stages, record, lo, splits, starts, links, seeds, terminal):
     """Phase 3 of one run of segments, given its link points.
 
-    ``stages`` and ``gains`` are a :func:`_sweep_run`'s stages and gains,
-    ``splits`` its segment bounds from its first stage, ``starts`` each
-    segment's first state and ``links`` and ``seeds`` each endpoint
-    segment's end point and multiplier there; ``terminal`` is the terminal
-    cost's ``(Qxx, qx1)`` where the run ends the horizon, else None.  The
-    segments roll out in lockstep, a link point and not a segment's own end
-    state starting the next one, and then run the stationarity recursion
-    back from their end multipliers.
+    ``stages`` and ``record`` are the run's stages and record, the first
+    stage stage ``lo`` of the horizon, and ``splits`` its segment bounds on
+    the horizon; ``starts`` are each segment's first state and ``links`` and
+    ``seeds`` each endpoint segment's end point and multiplier there;
+    ``terminal`` is the terminal cost's ``(Qxx, qx1)`` where the run ends
+    the horizon, else None.  The segments roll out in lockstep, a link point
+    and not a segment's own end state starting the next one, and then run
+    the stationarity recursion back from their end multipliers.
 
-    Returns the run's states, controls and multipliers, with the horizon's
-    final row where the run ends it, ``k1`` with ``Kz z`` folded in, its
-    stages' cost terms (:func:`parlqr.problem.stage_costs`) and the largest
-    absolute KKT row entry of its stages but, where the run does not end
-    the horizon, its last, whose rows need the next run's first multiplier.
-    A segment's bits do not depend on its run.
+    Writes the run's states, controls and multipliers, with the horizon's
+    final row where the run ends it, ``k1`` with ``Kz z`` folded in and its
+    stages' cost terms (:func:`parlqr.problem.stage_costs`) to the record.
+    Returns the largest absolute KKT row entry of its stages but, where the
+    run does not end the horizon, its last, whose rows need the next run's
+    first multiplier.  A segment's bits do not depend on its run.
     """
-    n, m, L = stages.Qxx.shape[1], stages.Quu.shape[1], splits[-1]
-    Kx, k1 = gains["Kx"], gains["k1"]
+    splits = tuple(s - lo for s in splits)
+    L, Kx, k1 = splits[-1], record["Kx"], record["k1"]
+    states, controls, lambdas = record["states"], record["controls"], record["lambdas"]
     Fx, Fu, f1, Qxx, Qux, qx1 = (stages.Fx, stages.Fu, stages.f1,
                                  stages.Qxx, stages.Qux, stages.qx1)
     if len(links):  # the horizon's last segment has no endpoint to fold in
         z = np.repeat(links, np.diff(splits)[:len(links)], axis=0)
-        k1 = np.concatenate([np.matvec(gains["Kz"], z) + k1[:len(z)], k1[len(z):]])
-    end = L + (terminal is not None)
-    states, controls, lambdas = np.empty((end, n)), np.empty((L, m)), np.empty((end, n))
+        k1[:len(z)] = np.matvec(record["Kz"], z) + k1[:len(z)]
     order, plan = ep.lockstep(splits, forward=True)
     x = starts[order]
     for B, rows in plan:
@@ -629,44 +628,30 @@ def _reconstruct(stages, gains, splits, starts, links, seeds, terminal):
             np.matvec(Qxx[rows], states[rows]) + np.matvec(Qux[rows].mT, controls[rows])
             + qx1[rows])
         lambdas[rows] = lam[:B]
-    done = end - 1
+    done = L - (terminal is None)
     rows = stage_residuals(stages[:done], states[:done], states[1:done + 1], controls[:done],
                            lambdas[:done], lambdas[1:done + 1])
-    return (states, controls, lambdas, k1, *stage_costs(stages, states[:L], controls),
-            float(np.abs(rows).max(initial=0.0)))
+    record["x_costs"][:], record["u_costs"][:] = stage_costs(stages, states[:L], controls)
+    return float(np.abs(rows).max(initial=0.0))
 
 
-def _reconstruct_runs(problem, splits, held, starts, links, seeds):
-    """:func:`_reconstruct` of each run a :func:`_sweep` with ``keep`` held,
-    in the process that swept it, the pool's runs into the record stack.
-    Returns the states, controls, multipliers, ``Kx``, folded ``k1`` and
-    cost terms stacked over the horizon and the largest of the runs' KKT
-    row entries.
+def _finish(problem, splits, held, starts, links, seeds):
+    """Phase 3 of each run a :func:`_sweep` ``held``, given its segments' first
+    states, link points and end multipliers, here or in the run's worker
+    slot, into the run's record.  Returns the largest of the runs' KKT row
+    entries.
     """
-    runs, path, base, record = held
-    J, T = len(splits) - 1, problem.T
-    terminal = problem.terminal.Qxx, problem.terminal.qx1
-    local, remote, Kx = [], [], []
-    for (first, last), kept in runs:
-        lo = splits[first]
-        args = (tuple(s - lo for s in splits[first:last + 2]), starts[first:last + 1],
-                links[first:last + 1], seeds[first:last + 1],
-                terminal if last == J - 1 else None)
-        if kept is None:
-            remote.append((_finish_shared, (len(remote), path, *args)))
-        else:
-            local.append((_reconstruct, (*kept, *args)))
-            Kx.append(kept[1]["Kx"])
-    results, _, _ = _run_tasks(local, remote)
-    parts = [r[:-1] for r in results[:len(local)]]
-    residuals = [r[-1] for r in results[:len(local)]] + results[len(local):]
-    if remote:  # the pool's rows, from the file
-        *columns, pool_Kx = _record_columns(record, problem.stages)
-        parts.append([c[:T + 1 - base] for c in columns])
-        Kx.append(pool_Kx[:T - base])
-    states, controls, lambdas, *per_stage = (np.concatenate(part) for part in zip(*parts))
-    return (states, controls[:T], lambdas, np.concatenate(Kx), *(a[:T] for a in per_stage),
-            float(np.max(residuals)))
+    runs, records, header = held
+    J, terminal = len(splits) - 1, (problem.terminal.Qxx, problem.terminal.qx1)
+    tasks = [(lo, hi, splits[first:last + 2], starts[first:last + 1], links[first:last + 1],
+              seeds[first:last + 1], terminal if last == J - 1 else None)
+             for first, last, lo, hi in runs]
+    local = len(records) - (header is not None)
+    residuals, _, _ = _run_tasks(
+        [(_reconstruct, (problem.stages[lo:hi], record, lo, *rest))
+         for (lo, hi, *rest), record in zip(tasks, records[:local])],
+        [(_finish_shared, (header, *task)) for task in tasks[local:]])
+    return float(np.max(residuals))
 
 
 def _feedback_policies(Kx, k1):
@@ -737,40 +722,46 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
     splits, terminal = partition.split_times, problem.terminal
     seg, batches, used, shared, timings, held = _sweep(
         problem, splits, workers, J - 1, (terminal.Qxx[None], terminal.qx1[None]),
-        tolerances, collect_diagnostics, keep=True)
+        tolerances, collect_diagnostics)
+    runs, records, header = held
     x_init, stages = problem.x_init, problem.stages
+    try:
+        tic = time.perf_counter()
+        links, nus, link_residual, link_rcond = _solve_links(seg, x_init)
+        timings["links"], tic = time.perf_counter() - tic, time.perf_counter()
+        starts = np.concatenate([x_init[None], links])  # each segment's first state
 
-    tic = time.perf_counter()
-    links, nus, link_residual, link_rcond = _solve_links(seg, x_init)
-    timings["links"], tic = time.perf_counter() - tic, time.perf_counter()
-    starts = np.concatenate([x_init[None], links])  # each segment's first state
+        # per-segment feasibility at the solved links
+        feas_residuals = np.zeros(J)
+        failed = []
+        for at, Hx, Hz, h1 in _by_rows(seg["feasibility"]):
+            a, z = starts[at], links[at]
+            feas_residuals[at] = np.abs(np.matvec(Hx, a) + np.matvec(Hz, z) + h1).max(axis=1)
+            scale = 1.0 + np.abs(a).max(axis=1) + np.abs(z).max(axis=1)
+            failed.extend(at[feas_residuals[at] > tolerances.feas_tol * scale * LINK_FEAS_SLACK])
+        if failed:
+            j = int(min(failed))
+            raise Infeasible(feas_residuals[j], segment=j)
 
-    # per-segment feasibility at the solved links
-    feas_residuals = np.zeros(J)
-    failed = []
-    for at, Hx, Hz, h1 in _by_rows(seg["feasibility"]):
-        a, z = starts[at], links[at]
-        feas_residuals[at] = np.abs(np.matvec(Hx, a) + np.matvec(Hz, z) + h1).max(axis=1)
-        scale = 1.0 + np.abs(a).max(axis=1) + np.abs(z).max(axis=1)
-        failed.extend(at[feas_residuals[at] > tolerances.feas_tol * scale * LINK_FEAS_SLACK])
-    if failed:
-        j = int(min(failed))
-        raise Infeasible(feas_residuals[j], segment=j)
-
-    # each segment's multiplier at its end: minus its endpoint gradient,
-    # corrected by its feasibility rows
-    mu_left = -(np.matvec(seg["Vzx"], starts[:-1]) + np.matvec(seg["Vzz"], links) + seg["vz1"])
-    for at, _, Hz, _ in _by_rows(seg["feasibility"]):
-        mu_left[at] = mu_left[at] - np.matvec(Hz.mT, np.stack([nus[j] for j in at]))
-    states, controls, lambdas, Kx, k1, x_costs, u_costs, residual = _reconstruct_runs(
-        problem, splits, held, starts, links, -mu_left)
+        # each segment's multiplier at its end: minus its endpoint gradient,
+        # corrected by its feasibility rows
+        mu_left = -(np.matvec(seg["Vzx"], starts[:-1]) + np.matvec(seg["Vzz"], links)
+                    + seg["vz1"])
+        for at, _, Hz, _ in _by_rows(seg["feasibility"]):
+            mu_left[at] = mu_left[at] - np.matvec(Hz.mT, np.stack([nus[j] for j in at]))
+        residual = _finish(problem, splits, held, starts, links, -mu_left)
+        Kx, k1, states, controls, lambdas, x_costs, u_costs = (
+            _join(records, name) for name in RECORD if name != "Kz")
+    finally:
+        if header is not None:
+            os.unlink(header[0])
     lambda_right = lambdas[list(splits[1:-1])]  # each segment's first multiplier
     mismatch = float(np.abs(mu_left + lambda_right).max())
     timings["reconstruct"], tic = time.perf_counter() - tic, time.perf_counter()
 
     # the rows the runs left, of each last stage before another run's, and
     # the terminal and initial rows
-    t = np.array([splits[last + 1] - 1 for (_, last), _ in held[0][:-1]], dtype=int)
+    t = np.array([hi - 1 for *_, hi in runs[:-1]], dtype=int)
     rows = stage_residuals(stages[t], states[t], states[t + 1], controls[t],
                            lambdas[t], lambdas[t + 1])
     residual = float(np.max([residual, np.abs(rows).max(initial=0.0)] + [
@@ -844,11 +835,14 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
                  for (Vxx, Vzx, _, vx1, _), z in zip(vf[1:-1], links[1:])]
     terminals.append(TerminalCost(*vf[-1]))
     splits = partition.split_times[:-1]
-    seg, *_ = _sweep(problem, splits, workers, 0,
-                     (np.stack([t.Qxx for t in terminals]),
-                      np.stack([t.qx1 for t in terminals])), tolerances, False)
+    *_, (_, records, header) = _sweep(
+        problem, splits, workers, 0,
+        (np.stack([t.Qxx for t in terminals]), np.stack([t.qx1 for t in terminals])),
+        tolerances, False)
+    if header is not None:
+        os.unlink(header[0])
     policies = list(result.policies)
-    policies[:splits[-1]] = _feedback_policies(seg["Kx"], seg["k1"])
+    policies[:splits[-1]] = _feedback_policies(_join(records, "Kx"), _join(records, "k1"))
     states, controls = rollout(problem, policies, problem.x_init)
     deviation = max(float(np.abs(states - result.states).max()),
                     float(np.abs(controls - result.controls).max()))

@@ -1,5 +1,6 @@
 import concurrent.futures
 import glob
+import multiprocessing
 import os
 import pickle
 import signal
@@ -25,6 +26,7 @@ from parlqr.problem import (
     DEFAULT_TOLERANCES,
     LqrProblem,
     StageDynamics,
+    ToleranceSet,
     evaluate_objective,
     kkt_residual,
 )
@@ -38,11 +40,16 @@ from conftest import (
 
 
 def sweep(problem, part, workers=1, collect=False):
-    """The segment results of a partitioned solve, its runs and workers."""
+    """The segment results of a partitioned solve's phase 1, with its gains
+    stacked in stage order, its runs and workers."""
     terminal = problem.terminal
-    return parallel._sweep(problem, part.split_times, workers, part.J - 1,
-                           (terminal.Qxx[None], terminal.qx1[None]),
-                           DEFAULT_TOLERANCES, collect)[:3]
+    seg, batches, used, *_, (_, records, header) = parallel._sweep(
+        problem, part.split_times, workers, part.J - 1, (terminal.Qxx[None], terminal.qx1[None]),
+        DEFAULT_TOLERANCES, collect)
+    if header is not None:
+        os.unlink(header[0])
+    seg.update((name, parallel._join(records, name)) for name in ("Kx", "k1", "Kz"))
+    return seg, batches, used
 
 
 def shared_files():
@@ -569,6 +576,30 @@ class TestSharedStages:
         assert got.details.workers == 2
         assert_same_solution(got, want)
 
+    def test_phases_of_a_run_may_meet_different_processes(self, monkeypatch):
+        problem = generate(3, 2, 64, seed=4)
+        want = parallel.solve_parallel(problem, J=8, workers=1)
+        pools = []
+
+        def new_pool(slot):
+            pools.append(concurrent.futures.ProcessPoolExecutor(
+                max_workers=1, mp_context=multiprocessing.get_context("fork")))
+            return pools[-1]
+
+        monkeypatch.setattr(parallel, "_get_pool", new_pool)
+        try:
+            got = parallel.solve_parallel(problem, J=8, workers=2)
+        finally:
+            for pool in pools:
+                pool.shutdown()
+        # the pool's run swept in one process and reconstructed in another
+        assert len(pools) == 2
+        assert_same_solution(got, want)
+        for name in ("Kx", "k1"):
+            assert np.array_equal(np.stack([getattr(p, name) for p in got.policies]),
+                                  np.stack([getattr(p, name) for p in want.policies]))
+        assert not shared_files()
+
     def test_shutdown_pools_leaves_no_files(self):
         problem = generate(3, 2, 64, seed=4)
         parallel.solve_parallel(problem, J=8, workers=3)
@@ -596,6 +627,32 @@ class TestSegmentFailures:
             parallel.solve_parallel(broken, J=4, workers=workers)
         assert info.value.stage == 13
         assert str(info.value) == "Cholesky failed at stage 13"
+
+    def test_infeasible_links_leave_no_file(self):
+        # unit segments with m < n each have feasibility rows, whose residual
+        # at the solved links no zero tolerance admits
+        problem = generate(4, 1, 64, seed=0)
+        with pytest.raises(Infeasible) as info:
+            parallel.solve_parallel(problem, J=64, workers=2,
+                                    tolerances=ToleranceSet(feas_tol=0.0))
+        assert info.value.segment == 0
+        assert not shared_files()
+        assert_same_solution(parallel.solve_parallel(problem, J=64, workers=2),
+                             parallel.solve_parallel(problem, J=64, workers=1))
+
+    def test_singular_links_leave_no_file(self, monkeypatch):
+        problem = generate(4, 1, 64, seed=0)
+
+        def singular(seg, x_init):
+            raise LinkSingular("link system is singular")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "_solve_links", singular)
+            with pytest.raises(LinkSingular):
+                parallel.solve_parallel(problem, J=64, workers=2)
+        assert not shared_files()
+        assert_same_solution(parallel.solve_parallel(problem, J=64, workers=2),
+                             parallel.solve_parallel(problem, J=64, workers=1))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_smoothing_failure_reports_global_stage(self, workers):
