@@ -33,9 +33,9 @@ x_init = rng.standard_normal(problem.n)
 x_term = rng.standard_normal(problem.n)
 sol = affine.evaluate(x_init, x_term)
 print("lambda_0 vs -grad_x value:",
-      np.abs(sol.lambdas[0] - (-v0.gradient_x(x_init, x_term))).max())
+      np.abs(sol.lambdas[0] + v0.Vxx @ x_init + v0.Vzx.T @ x_term + v0.vx1).max())
 print("mu      vs -grad_z value:",
-      np.abs(sol.mu - (-v0.gradient_z(x_init, x_term))).max())
+      np.abs(sol.mu + v0.Vzx @ x_init + v0.Vzz @ x_term + v0.vz1).max())
 
 # a system with no control authority can only coast
 coasting = parlqr.LqrProblem(

@@ -25,8 +25,10 @@ KKT residual (the last two as 0-d arrays) of ``solve_serial``, of
 ``solve_parallel`` and of ``smooth`` with 1, 2 and 3 workers, the link
 points, and
 ``solve_endpoint_affine`` over the first ``min(256, T)`` stages evaluated
-at the serial solution's state there, with its ``mu``, ``Kz`` and the
-initial value's ``Vzz``.
+at the serial solution's state there, with its ``mu``, ``Kz``, the
+initial value's ``Vzz`` and its trajectory maps ``Ra, Rz, r1, Sa, Sz, s1``.
+Last, the bytes of each CSV file of ``demo.run_demo(DemoConfig(T=120),
+directory, workers=1)``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ INPUTS = [  # (n, m, T, seed, J of the solve, J of the solve that smooth refines
 WORKERS = (1, 2, 3)
 SMOOTH_WORKERS = (1, 2, 3)
 ENDPOINT_T = 256
+DEMO_T = 120
 
 
 def _solution_arrays(out, prefix, solution):
@@ -65,6 +68,7 @@ def _solution_arrays(out, prefix, solution):
 def dump(path):
     """Solve every input with the ``parlqr`` on ``sys.path``; save to ``path``."""
     import parlqr
+    from parlqr import demo
 
     out = {}
     try:
@@ -90,6 +94,13 @@ def dump(path):
             out[f"{name}/endpoint/mu"] = sol.mu
             out[f"{name}/endpoint/Kz"] = np.stack([p.Kz for p in affine.policies])
             out[f"{name}/endpoint/Vzz0"] = affine.values[0].Vzz
+            for field in ("Ra", "Rz", "r1", "Sa", "Sz", "s1"):
+                out[f"{name}/endpoint/maps/{field}"] = getattr(affine.maps, field)
+        with tempfile.TemporaryDirectory() as directory:
+            demo.run_demo(demo.DemoConfig(T=DEMO_T), directory, workers=1)
+            for file in sorted(os.listdir(directory)):
+                with open(os.path.join(directory, file), "rb") as fh:
+                    out[f"demo/{file}"] = np.frombuffer(fh.read(), np.uint8)
     finally:
         parlqr.parallel.shutdown_pools()
     np.savez(path, **out)

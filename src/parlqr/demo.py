@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from . import parallel, serial
-from .problem import LqrProblem, StageCost, StageDynamics, TerminalCost, evaluate_objective
+from .problem import LqrProblem, StageCost, StageDynamics, TerminalCost, evaluate_objective, rollout
 
 __all__ = ["DemoConfig", "double_integrator_problem", "policy_rollout", "run_demo"]
 
@@ -68,8 +68,8 @@ def _disturbance(x):
     return x[0] / (x[0] * x[0] + DISTURBANCE_SMOOTHING)
 
 
-def policy_rollout(problem, policies, disturbed):
-    """Closed-loop rollout of per-stage policies, optionally disturbed."""
+def policy_rollout(problem, policies):
+    """Closed-loop rollout of per-stage policies on the disturbed system."""
     T, n, m = problem.T, problem.n, problem.m
     states = np.empty((T + 1, n))
     controls = np.empty((T, m))
@@ -77,10 +77,8 @@ def policy_rollout(problem, policies, disturbed):
     for t, (_, dyn) in enumerate(problem.stages):
         u = policies[t](states[t])
         controls[t] = u
-        x_next = dyn.Fx @ states[t] + dyn.Fu @ u + dyn.f1
-        if disturbed:
-            x_next = x_next + np.array([0.0, _disturbance(states[t])])
-        states[t + 1] = x_next
+        states[t + 1] = (dyn.Fx @ states[t] + dyn.Fu @ u + dyn.f1
+                         + np.array([0.0, _disturbance(states[t])]))
     return states, controls
 
 
@@ -122,7 +120,7 @@ def run_demo(config, out_dir, workers=None):
     nominal = {}
     summary = {"config": dataclasses.asdict(config)}
     for name, policies in variants.items():
-        states, controls = policy_rollout(problem, policies, disturbed=False)
+        states, controls = rollout(problem, policies, problem.x_init)
         nominal[name] = states
         _write_trajectory_csv(os.path.join(out_dir, f"{name}_undisturbed.csv"),
                               states, controls)
@@ -132,7 +130,7 @@ def run_demo(config, out_dir, workers=None):
     if config.disturbed:
         costs = {}
         for name, policies in variants.items():
-            states, controls = policy_rollout(problem, policies, disturbed=True)
+            states, controls = policy_rollout(problem, policies)
             _write_trajectory_csv(os.path.join(out_dir, f"{name}_disturbed.csv"),
                                   states, controls)
             costs[name] = evaluate_objective(problem, states, controls)

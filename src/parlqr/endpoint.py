@@ -26,7 +26,8 @@ LAPACK ``dposv`` factor-and-solve of the control Hessian against
 cost-to-go update (:func:`value_update`); the others factor the
 null-space Hessian ``Zw' Muu Zw`` with the same call.  Without endpoint
 rows the endpoint block has width zero and the sweep is the plain Riccati
-recursion of :mod:`parlqr.serial`.
+recursion of :mod:`parlqr.serial`.  The trajectory maps (:func:`forward_pass`)
+come from the package's one forward recursion, :func:`parlqr.problem.propagate`.
 
 Multipliers are by-products of the sweep, as in the serial solver: minus
 the cost-to-go gradient.  Wherever no endpoint row is pending, ``lam_t`` is
@@ -57,6 +58,8 @@ from .problem import (
     TerminalCost,
     evaluate_objective,
     kkt_residual,
+    lockstep,
+    propagate,
 )
 
 __all__ = [
@@ -104,12 +107,6 @@ class ValueFunction:
         set_(value, "vz1", vz1)
         set_(value, "const", const)
         return value
-
-    def gradient_x(self, x, z):
-        return self.Vxx @ x + self.Vzx.T @ z + self.vx1
-
-    def gradient_z(self, x, z):
-        return self.Vzx @ x + self.Vzz @ z + self.vz1
 
     def value(self, x, z):
         return float(0.5 * x @ (self.Vxx @ x) + z @ (self.Vzx @ x)
@@ -280,26 +277,6 @@ def _pending_rows(groups, Fx, Fu, f1, Muu, rhs, where, rank_tol, diag):
                 rows[:, :, :n], rows[:, :, n:e], rows[:, :, e], rank_tol,
                 pre_scale[sub], cert_scale[sub]) if new[2].shape[1])
     return parts, pending, plain
-
-
-def lockstep(splits, forward=False):
-    """Lockstep plan over the segments ``[splits[b], splits[b+1])``: the held
-    order, longest first, and per step ``(B, rows)``, the first ``B`` held
-    segments at their stages ``rows`` (a slice where evenly spaced), the
-    ``i``-th from their ends or, with ``forward``, from their starts."""
-    lengths = np.diff(splits)
-    order = np.argsort(-lengths, kind="stable")
-    held = np.append(lengths[order], 0)
-    anchor = (np.asarray(splits[:-1]) if forward else np.asarray(splits[1:]) - 1)[order]
-    sign, plan = (1 if forward else -1), []
-    for B in range(len(order), 0, -1):  # steps held[B] .. held[B-1]-1 run B
-        gap = np.diff(anchor[:B])
-        even = B == 1 or (gap[0] > 0 and (gap == gap[0]).all())
-        for i in range(held[B], held[B - 1]):
-            first, last = anchor[0] + sign * i, anchor[B - 1] + sign * i
-            plan.append((B, slice(first, last + 1, gap[0] if B > 1 else 1) if even
-                         else anchor[:B] + sign * i))
-    return order, plan
 
 
 def sweep_segments(stages, splits, Qxx_T, qx1_T, k, tolerances=DEFAULT_TOLERANCES,
@@ -474,28 +451,24 @@ class TrajectoryMaps:
 
 
 def forward_pass(policies, stages):
-    """Propagate the policies to affine state/control maps."""
-    T = len(stages)
-    n = stages[0][0].n
-    m = stages[0][0].m
-    Ra = np.empty((T + 1, n, n))
-    Rz = np.empty((T + 1, n, n))
-    r1 = np.empty((T + 1, n))
-    Sa = np.empty((T, m, n))
-    Sz = np.empty((T, m, n))
-    s1 = np.empty((T, m))
-    Ra[0] = np.eye(n)
-    Rz[0] = 0.0
+    """Propagate the policies to affine state/control maps: the ``[Ra | Rz]``
+    block from ``[I | 0]`` with offsets ``[0 | Kz]`` and no drift, one
+    product per step for both, then ``r1`` (:func:`parlqr.problem.propagate`).
+    """
+    if not isinstance(stages, StageStack):
+        stages = StageStack.from_pairs(stages)
+    T, n, m = len(stages), stages.Qxx.shape[1], stages.Quu.shape[1]
+    Kx = [policy.Kx for policy in policies]
+    R, S = np.empty((T + 1, n, 2 * n)), np.empty((T, m, 2 * n))
+    R[0] = np.eye(n, 2 * n)
+    offsets = np.zeros((T, m, 2 * n))
+    offsets[:, :, n:] = [policy.Kz for policy in policies]
+    propagate(Kx, offsets, stages.Fx, stages.Fu, None, R, S)
+    r1, s1 = np.empty((T + 1, n)), np.empty((T, m))
     r1[0] = 0.0
-    for t in range(T):
-        pol = policies[t]
-        _, dyn = stages[t]
-        Sa[t] = pol.Kx @ Ra[t]
-        Sz[t] = pol.Kx @ Rz[t] + pol.Kz
-        s1[t] = pol.Kx @ r1[t] + pol.k1
-        Ra[t + 1] = dyn.Fx @ Ra[t] + dyn.Fu @ Sa[t]
-        Rz[t + 1] = dyn.Fx @ Rz[t] + dyn.Fu @ Sz[t]
-        r1[t + 1] = dyn.Fx @ r1[t] + dyn.Fu @ s1[t] + dyn.f1
+    propagate(Kx, [policy.k1 for policy in policies], stages.Fx, stages.Fu, stages.f1, r1, s1)
+    # each map a contiguous stack: products on strided halves run slower
+    Ra, Rz, Sa, Sz = map(np.ascontiguousarray, np.split(R, 2, axis=2) + np.split(S, 2, axis=2))
     return TrajectoryMaps(Ra, Rz, r1, Sa, Sz, s1)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import LqrProblem, StageCost, StageDynamics, TerminalCost
+from .problem import LqrProblem, StageStack, TerminalCost, _symmetrized
 
 __all__ = ["generate"]
 
@@ -17,31 +17,34 @@ def generate(n, m, T, seed):
     ``Quu = B B' + I`` for a standard-normal ``B``; the state-cost cross
     term is shrunk until the control-eliminated state cost is positive
     semi-definite; ``Fx`` is rescaled to spectral radius at most 1.05 so
-    rollouts stay bounded over long horizons.
+    rollouts stay bounded over long horizons.  The draws go straight into
+    the stage stacks, stored as :class:`StageCost` would store them.
     """
     if min(n, m, T) < 1:
         raise ValueError("n, m and T must all be at least 1")
     rng = np.random.default_rng(seed)
-    stages = []
-    for _ in range(T):
+    Qxx, Qux, Quu, qx1, qu1, Fx, Fu, f1, asymmetry = (np.empty((T,) + shape) for shape in (
+        (n, n), (m, n), (m, m), (n,), (m,), (n, n), (n, m), (n,), ()))
+    for t in range(T):
         B = rng.standard_normal((m, m))
-        Quu = B @ B.T + np.eye(m)
+        Quu_t = B @ B.T + np.eye(m)
         C = rng.standard_normal((n, n))
-        Qxx = C @ C.T
-        Qux = 0.3 * rng.standard_normal((m, n))
+        Qxx_t = C @ C.T
+        Qux[t] = 0.3 * rng.standard_normal((m, n))
         while np.linalg.eigvalsh(
-                Qxx - Qux.T @ np.linalg.solve(Quu, Qux)).min() < 0.0:
-            Qux *= 0.5
-        qx1 = rng.standard_normal(n)
-        qu1 = rng.standard_normal(m)
-        Fx = rng.standard_normal((n, n))
-        rho = float(np.abs(np.linalg.eigvals(Fx)).max())
+                Qxx_t - Qux[t].T @ np.linalg.solve(Quu_t, Qux[t])).min() < 0.0:
+            Qux[t] *= 0.5
+        (Qxx[t], dx), (Quu[t], du) = _symmetrized(Qxx_t, "Qxx"), _symmetrized(Quu_t, "Quu")
+        asymmetry[t] = max(dx, du)
+        qx1[t] = rng.standard_normal(n)
+        qu1[t] = rng.standard_normal(m)
+        Fx[t] = rng.standard_normal((n, n))
+        rho = float(np.abs(np.linalg.eigvals(Fx[t])).max())
         if rho > MAX_SPECTRAL_RADIUS:
-            Fx *= MAX_SPECTRAL_RADIUS / rho
-        Fu = rng.standard_normal((n, m))
-        f1 = rng.standard_normal(n)
-        stages.append((StageCost(Qxx, Qux, Quu, qx1, qu1),
-                       StageDynamics(Fx, Fu, f1)))
+            Fx[t] *= MAX_SPECTRAL_RADIUS / rho
+        Fu[t] = rng.standard_normal((n, m))
+        f1[t] = rng.standard_normal(n)
     D = rng.standard_normal((n, n))
     terminal = TerminalCost(D @ D.T, rng.standard_normal(n))
-    return LqrProblem(stages, terminal, rng.standard_normal(n))
+    return LqrProblem(StageStack(Qxx, Qux, Quu, qx1, qu1, Fx, Fu, f1, asymmetry),
+                      terminal, rng.standard_normal(n))

@@ -33,13 +33,14 @@ process sweeps its run as one lockstep batch per kind of segment
 and returns only the link blocks: each segment's initial cost-to-go,
 feasibility rows and diagnostics.  Phase 2 is the link solve in the
 calling process.  In phase 3 each run gets its segments' first states,
-link points and end multipliers, reads its gains, rolls out and runs the
-costate recursion in lockstep, folds ``Kz z`` into ``k1``, checks the KKT
-rows of its stages, computes their cost terms and writes it all to the
-record; the calling process stacks the records, finishes the rows that
-need a multiplier from the next run and the terminal and initial rows, and
-sums the cost terms.  A segment's bits do not depend on its run or the
-worker count.
+link points and end multipliers, reads its gains, folds ``Kz z`` into
+``k1``, rolls out with the package's one forward recursion
+(:func:`parlqr.problem.propagate`) and runs the costate recursion, both in
+lockstep, checks the KKT rows of its stages, computes their cost terms and
+writes it all to the record; the calling process stacks the records,
+finishes the rows that need a multiplier from the next run and the
+terminal and initial rows, and sums the cost terms.  A segment's bits do
+not depend on its run or the worker count.
 
 The pool's runs travel through one file per solve in a memory-backed
 directory (:data:`SHARED_DIR`): the calling process writes the pool's
@@ -88,7 +89,9 @@ from .problem import (
     boundary_residuals,
     evaluate_objective,
     kkt_residual,
+    lockstep,
     objective_from_stage_costs,
+    propagate,
     rollout,
     stage_costs,
     stage_residuals,
@@ -590,8 +593,8 @@ def _reconstruct(stages, record, lo, splits, starts, links, seeds, terminal):
     the horizon; ``starts`` are each segment's first state and ``links`` and
     ``seeds`` each endpoint segment's end point and multiplier there;
     ``terminal`` is the terminal cost's ``(Qxx, qx1)`` where the run ends
-    the horizon, else None.  The segments roll out in lockstep, a link point
-    and not a segment's own end state starting the next one, and then run
+    the horizon, else None.  The segments roll out in lockstep
+    (:func:`parlqr.problem.propagate`) from their first states and then run
     the stationarity recursion back from their end multipliers.
 
     Writes the run's states, controls and multipliers, with the horizon's
@@ -604,24 +607,19 @@ def _reconstruct(stages, record, lo, splits, starts, links, seeds, terminal):
     splits = tuple(s - lo for s in splits)
     L, Kx, k1 = splits[-1], record["Kx"], record["k1"]
     states, controls, lambdas = record["states"], record["controls"], record["lambdas"]
-    Fx, Fu, f1, Qxx, Qux, qx1 = (stages.Fx, stages.Fu, stages.f1,
-                                 stages.Qxx, stages.Qux, stages.qx1)
+    Fx, Qxx, Qux, qx1 = stages.Fx, stages.Qxx, stages.Qux, stages.qx1
     if len(links):  # the horizon's last segment has no endpoint to fold in
         z = np.repeat(links, np.diff(splits)[:len(links)], axis=0)
         k1[:len(z)] = np.matvec(record["Kz"], z) + k1[:len(z)]
-    order, plan = ep.lockstep(splits, forward=True)
-    x = starts[order]
-    for B, rows in plan:
-        xs = x[:B]
-        states[rows] = xs
-        us = np.matvec(Kx[rows], xs) + k1[rows]
-        controls[rows] = us
-        x[:B] = np.matvec(Fx[rows], xs) + np.matvec(Fu[rows], us) + f1[rows]
+    # a link point, not the left neighbour's end state, starts a segment; the
+    # row past L where the run does not end the horizon is the next run's
+    states[list(splits[:-1])] = starts
+    propagate(Kx, k1, Fx, stages.Fu, stages.f1, states[:L + (terminal is not None)],
+              controls, splits)
     if terminal is not None:
-        states[L] = x[np.flatnonzero(order == len(order) - 1)[0]]
         lambdas[L] = -(terminal[0] @ states[L] + terminal[1])
         seeds = np.concatenate([seeds, lambdas[L][None]])
-    order, plan = ep.lockstep(splits)
+    order, plan = lockstep(splits)
     lam = seeds[order]
     for B, rows in plan:
         lam[:B] = np.matvec(Fx[rows].mT, lam[:B]) - (

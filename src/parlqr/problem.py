@@ -36,6 +36,7 @@ __all__ = [
     "ValidationReport",
     "validate",
     "rollout",
+    "propagate",
     "evaluate_objective",
     "kkt_residual",
     "stationarity_residuals",
@@ -443,8 +444,9 @@ def validate(problem, tolerances=DEFAULT_TOLERANCES):
 def rollout(problem, policies, x0, x_term=None):
     """Forward-simulate the dynamics under per-stage affine policies.
 
-    Returns ``(states, controls)`` with ``states[0] = x0``.  Deterministic:
-    repeated calls on identical inputs are bit-identical.
+    Returns ``(states, controls)`` with ``states[0] = x0``.  A policy that
+    depends on the endpoint has ``Kz x_term`` folded into its offset first.
+    Deterministic: repeated calls on identical inputs are bit-identical.
     """
     n, m, T = problem.n, problem.m, problem.T
     if len(policies) != T:
@@ -452,14 +454,70 @@ def rollout(problem, policies, x0, x_term=None):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
-    states = np.empty((T + 1, n))
-    controls = np.empty((T, m))
+    if x_term is None and any(p._uses_terminal for p in policies):
+        raise ValueError("policy depends on x_term but none was given")
+    offsets = [p.Kz @ x_term + p.k1 if p._uses_terminal else p.k1 for p in policies]
+    states, controls = np.empty((T + 1, n)), np.empty((T, m))
     states[0] = x0
-    for t, (_, dyn) in enumerate(problem.stages):
-        u = policies[t](states[t], x_term)
-        controls[t] = u
-        states[t + 1] = dyn.Fx @ states[t] + dyn.Fu @ u + dyn.f1
+    stages = problem.stages
+    propagate([p.Kx for p in policies], offsets, stages.Fx, stages.Fu, stages.f1,
+              states, controls)
     return states, controls
+
+
+def lockstep(splits, forward=False):
+    """Lockstep plan over the segments ``[splits[b], splits[b+1])``: the held
+    order, longest first, and per step ``(B, rows)``, the first ``B`` held
+    segments at their stages ``rows`` (a slice where evenly spaced), the
+    ``i``-th from their ends or, with ``forward``, from their starts."""
+    lengths = np.diff(splits)
+    order = np.argsort(-lengths, kind="stable")
+    held = np.append(lengths[order], 0)
+    anchor = (np.asarray(splits[:-1]) if forward else np.asarray(splits[1:]) - 1)[order]
+    sign, plan = (1 if forward else -1), []
+    for B in range(len(order), 0, -1):  # steps held[B] .. held[B-1]-1 run B
+        gap = np.diff(anchor[:B])
+        even = B == 1 or (gap[0] > 0 and (gap == gap[0]).all())
+        for i in range(held[B], held[B - 1]):
+            first, last = anchor[0] + sign * i, anchor[B - 1] + sign * i
+            plan.append((B, slice(first, last + 1, gap[0] if B > 1 else 1) if even
+                         else anchor[:B] + sign * i))
+    return order, plan
+
+
+def propagate(Kx, k, Fx, Fu, d, states, controls, splits=None):
+    """Step ``u_t = Kx[t] x_t + k[t]``, ``x_{t+1} = Fx[t] x_t + Fu[t] u_t +
+    d[t]`` (no ``d`` term if it is None) for vector or column-block states,
+    writing ``states`` and ``controls``.
+
+    Without ``splits`` one segment runs from ``states[0]`` on the 2-D
+    operands of each stage and fills ``states[1:]``.  With them the
+    segments ``[splits[b], splits[b+1])`` run in lockstep (:func:`lockstep`),
+    one batched product per step, each from its row ``splits[b]``; only the
+    last one's end state is kept, where ``states`` has a row for it.  On
+    vector states a segment's bits are those of it run alone.
+    """
+    if splits is None:
+        x = states[0]
+        for t in range(len(controls)):
+            u = controls[t] = Kx[t] @ x + k[t]
+            x = Fx[t] @ x + Fu[t] @ u
+            if d is not None:
+                x += d[t]
+            states[t + 1] = x
+        return
+    product = np.matvec if states.ndim == 2 else np.matmul
+    order, plan = lockstep(splits, forward=True)
+    x = states[np.asarray(splits[:-1])[order]]
+    for B, rows in plan:
+        xs = x[:B]
+        states[rows] = xs
+        us = controls[rows] = product(Kx[rows], xs) + k[rows]
+        x[:B] = product(Fx[rows], xs) + product(Fu[rows], us)
+        if d is not None:
+            x[:B] += d[rows]
+    if len(states) > splits[-1]:
+        states[splits[-1]] = x[np.flatnonzero(order == len(order) - 1)[0]]
 
 
 def _mv(A, v):

@@ -134,7 +134,34 @@ class TestBackwardPass:
                 assert eigs.min() >= -1e-9 * scale
 
 
+def reference_maps(policies, stages):
+    """The trajectory maps stage by stage, each block its own products."""
+    T, n, m = len(stages), stages[0][0].n, stages[0][0].m
+    Ra, Rz, r1 = np.empty((T + 1, n, n)), np.empty((T + 1, n, n)), np.empty((T + 1, n))
+    Sa, Sz, s1 = np.empty((T, m, n)), np.empty((T, m, n)), np.empty((T, m))
+    Ra[0], Rz[0], r1[0] = np.eye(n), 0.0, 0.0
+    for t, (pol, (_, dyn)) in enumerate(zip(policies, stages)):
+        Sa[t] = pol.Kx @ Ra[t]
+        Sz[t] = pol.Kx @ Rz[t] + pol.Kz
+        s1[t] = pol.Kx @ r1[t] + pol.k1
+        Ra[t + 1] = dyn.Fx @ Ra[t] + dyn.Fu @ Sa[t]
+        Rz[t + 1] = dyn.Fx @ Rz[t] + dyn.Fu @ Sz[t]
+        r1[t + 1] = dyn.Fx @ r1[t] + dyn.Fu @ s1[t] + dyn.f1
+    return Ra, Rz, r1, Sa, Sz, s1
+
+
 class TestForwardPass:
+    @pytest.mark.parametrize("n, m, T", [(4, 2, 9), (40, 10, 12)])
+    def test_maps_match_stage_by_stage_reference(self, n, m, T):
+        problem = generate(n, m, T, seed=42)
+        policies = endpoint.backward_pass(problem.stages, problem.terminal).policies
+        assert any(p.Kz.any() for p in policies)
+        want = reference_maps(policies, problem.stages)
+        for stages in (problem.stages, list(problem.stages)):
+            maps = endpoint.forward_pass(policies, stages)
+            for name, block in zip(("Ra", "Rz", "r1", "Sa", "Sz", "s1"), want):
+                assert np.array_equal(getattr(maps, name), block), name
+
     def test_open_loop_maps_are_transition_products(self):
         problem = generate(3, 1, 5, seed=40)
         stages = [(c, d) for c, d in problem.stages]

@@ -29,6 +29,7 @@ from parlqr.problem import (
     ToleranceSet,
     evaluate_objective,
     kkt_residual,
+    propagate,
 )
 
 from conftest import (
@@ -440,6 +441,26 @@ class TestLockstep:
             for got, want in zip(seg["feasibility"][j], (feas.Hx, feas.Hz, feas.h1)):
                 assert np.array_equal(got, want)
             assert vars(seg["diagnostics"][j]) == vars(alone.diagnostics)
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_lockstep_rollout_matches_each_segment_alone(self, case):
+        problem, part = LOCKSTEP_CASES[case]()
+        T, n, m, splits = problem.T, problem.n, problem.m, part.split_times
+        rng = np.random.default_rng(7)
+        Kx, k = 0.3 * rng.standard_normal((T, m, n)), rng.standard_normal((T, m))
+        dynamics = problem.stages.Fx, problem.stages.Fu, problem.stages.f1
+        states, controls = np.empty((T + 1, n)), np.empty((T, m))
+        states[list(splits[:-1])] = starts = rng.standard_normal((part.J, n))
+        propagate(Kx, k, *dynamics, states, controls, splits)
+        for j in range(part.J):
+            lo, hi = part.segment(j)
+            alone, alone_controls = np.empty((hi - lo + 1, n)), np.empty((hi - lo, m))
+            alone[0] = starts[j]
+            propagate(Kx[lo:hi], k[lo:hi], *(a[lo:hi] for a in dynamics), alone,
+                      alone_controls)
+            assert np.array_equal(states[lo:hi], alone[:-1])
+            assert np.array_equal(controls[lo:hi], alone_controls)
+        assert np.array_equal(states[T], alone[-1])
 
     def test_sent_tasks_carry_no_stage_data(self, monkeypatch):
         sent, run_tasks = [], parallel._run_tasks

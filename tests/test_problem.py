@@ -133,6 +133,14 @@ class TestRollout:
         b = rollout(problem, policies, problem.x_init)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    def test_endpoint_policy_needs_x_term(self):
+        problem = scalar_problem(2)
+        policy = AffinePolicy([[-0.5]], [[0.25]], [1.0])
+        with pytest.raises(ValueError, match="x_term"):
+            rollout(problem, [policy] * 2, np.ones(1))
+        _, controls = rollout(problem, [policy] * 2, np.ones(1), x_term=np.array([2.0]))
+        assert controls[0, 0] == -0.5 + (0.25 * 2.0 + 1.0)
+
     def test_dimension_mismatch_raises(self):
         problem = scalar_problem(2)
         policy = AffinePolicy.state_feedback(np.zeros((1, 1)), np.zeros(1))
