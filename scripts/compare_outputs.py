@@ -8,9 +8,10 @@ and saves every output array.  The script then prints, for each array,
 whether the two trees agree bit for bit (``numpy.array_equal``) and the
 largest absolute difference, and, for each tree, whether the partitioned
 solves and the smoothing passes agree bit for bit across worker counts 1, 2
-and 3.  It exits with code 1 when any array differs between the trees.
-The subprocesses inherit the environment, so ``OPENBLAS_NUM_THREADS=1
-python scripts/compare_outputs.py ...`` compares single-threaded BLAS runs.
+and 3 and with two workers but no shared directory.  It exits with code 1
+when any array differs between the trees.  The subprocesses inherit the
+environment, so ``OPENBLAS_NUM_THREADS=1 python scripts/compare_outputs.py
+...`` compares single-threaded BLAS runs.
 
 The inputs, all from ``parlqr.generate(n, m, T, seed)``:
 
@@ -23,7 +24,9 @@ The inputs, all from ``parlqr.generate(n, m, T, seed)``:
 For each input: states, controls, multipliers, policy gains, objective and
 KKT residual (the last two as 0-d arrays) of ``solve_serial``, of
 ``solve_parallel`` and of ``smooth`` with 1, 2 and 3 workers, the link
-points, and
+points, the same two with 2 workers and ``parlqr.parallel.SHARED_DIR``
+pointed at a missing directory (``w2 unshared``: the calling process takes
+every run, its records in anonymous memory), and
 ``solve_endpoint_affine`` over the first ``min(256, T)`` stages evaluated
 at the serial solution's state there, with its ``mu``, ``Kz``, the
 initial value's ``Vzz`` and its trajectory maps ``Ra, Rz, r1, Sa, Sz, s1``.
@@ -37,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
@@ -51,6 +55,7 @@ INPUTS = [  # (n, m, T, seed, J of the solve, J of the solve that smooth refines
 ]
 WORKERS = (1, 2, 3)
 SMOOTH_WORKERS = (1, 2, 3)
+UNSHARED = "w2 unshared"  # two workers, no shared directory
 ENDPOINT_T = 256
 DEMO_T = 120
 
@@ -85,6 +90,14 @@ def dump(path):
                 base = parlqr.solve_parallel(problem, smooth_J, workers=w)
                 _solution_arrays(out, f"{name}/smooth w{w}",
                                  parlqr.smooth(problem, base, workers=w))
+            with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+                    parlqr.parallel, "SHARED_DIR", os.path.join(directory, "missing")):
+                sol = parlqr.solve_parallel(problem, J, workers=2)
+                _solution_arrays(out, f"{name}/parallel {UNSHARED}", sol)
+                out[f"{name}/parallel {UNSHARED}/links"] = sol.details.link_points
+                base = parlqr.solve_parallel(problem, smooth_J, workers=2)
+                _solution_arrays(out, f"{name}/smooth {UNSHARED}",
+                                 parlqr.smooth(problem, base, workers=2))
             k = min(ENDPOINT_T, T)
             head = parlqr.LqrProblem(problem.stages[:k], problem.terminal,
                                      problem.x_init)
@@ -141,12 +154,13 @@ def compare(parent_src, change_src):
     for label, arrays in (("parent", parent), ("change", change)):
         for solver, workers in (("parallel", WORKERS), ("smooth", SMOOTH_WORKERS)):
             split = [key for key in arrays if f"/{solver} w1/" in key]
-            uneven = [key.replace(" w1/", f" w{w}/") for key in split for w in workers[1:]
+            others = [f"w{w}" for w in workers[1:]] + [UNSHARED]
+            uneven = [key.replace(" w1/", f" {other}/") for key in split for other in others
                       if not np.array_equal(arrays[key],
-                                            arrays[key.replace(" w1/", f" w{w}/")])]
-            print(f"# {label}: {solver} outputs across workers {workers}: "
-                  f"{len(uneven)} of {len(split) * (len(workers) - 1)} arrays differ "
-                  "from one worker's")
+                                            arrays[key.replace(" w1/", f" {other}/")])]
+            print(f"# {label}: {solver} outputs across workers {workers} and "
+                  f"{UNSHARED}: {len(uneven)} of {len(split) * len(others)} arrays "
+                  "differ from one worker's")
             for key in uneven:
                 print(f"#   {key}")
     return 1 if differ else 0

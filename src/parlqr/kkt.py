@@ -42,10 +42,6 @@ class KktSystem:
     def primal_dim(self):
         return (self.T + 1) * self.n + self.T * self.m
 
-    @property
-    def dual_dim(self):
-        return (self.T + 1) * self.n + (self.n if self.has_terminal else 0)
-
     def x_slice(self, t):
         start = t * (self.n + self.m)
         return slice(start, start + self.n)

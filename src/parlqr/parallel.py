@@ -37,19 +37,22 @@ link points and end multipliers, reads its gains, folds ``Kz z`` into
 ``k1``, rolls out with the package's one forward recursion
 (:func:`parlqr.problem.propagate`) and runs the costate recursion, both in
 lockstep, checks the KKT rows of its stages, computes their cost terms and
-writes it all to the record; the calling process stacks the records,
-finishes the rows that need a multiplier from the next run and the
-terminal and initial rows, and sums the cost terms.  A segment's bits do
-not depend on its run or the worker count.
+writes it all to the record; the calling process then finishes the rows
+that need a multiplier from the next run and the terminal and initial
+rows, and sums the cost terms.  A segment's bits do not depend on its run
+or the worker count.
 
-The pool's runs travel through one file per solve in a memory-backed
-directory (:data:`SHARED_DIR`): the calling process writes the pool's
-stages there, followed by room for the pool's records, and a task names the
-file, the dimensions and its run's stages, from which both sides derive
-the byte layout; the worker maps the file.  The calling process's own runs
-keep their records in arrays.  The file's name is removed once phase 3 is
-done (phase 1, for :func:`smooth`) or the solve fails.  Where the file
-cannot be created, the calling process takes every run.
+Each solve keeps every run's record in one buffer: one stack per record
+field over the whole horizon, a run's record being its rows, followed by
+room for the stage stacks.  With a pool the buffer is one file in a
+memory-backed directory (:data:`SHARED_DIR`), into which the calling
+process writes the pool's stages; a task names the file, the dimensions
+and its run's stages, from which both sides derive the byte layout, and
+the worker maps the file.  Without a pool, or where the file cannot be
+created, the buffer is anonymous memory and the calling process takes
+every run.  Phase 1 is a context that removes the file's name when it
+ends: after phase 3, after :func:`smooth` has read its gains, or when the
+solve fails.
 """
 
 from __future__ import annotations
@@ -209,26 +212,26 @@ def _extent(name, lo, hi, kz_end):
     return lo, hi + (name in ("states", "lambdas"))
 
 
-def _layout(n, m, rows, kz_end):
-    """Byte offset and shape of each stack of a shared file over ``rows``
-    stages, 64-byte aligned: the stage fields in :attr:`StageStack.FIELDS`
-    order, then the :data:`RECORD` of one run over all of them; and the
-    file's size.  Both sides of the file derive it
-    from the dimensions, so a task names none of its offsets."""
+def _layout(n, m, end, kz_end):
+    """Byte offset and shape of each stack of a solve's buffer over its
+    stages ``[0, end)``, 64-byte aligned: the :data:`RECORD` of one run over
+    all of them, then the stage fields in :attr:`StageStack.FIELDS` order;
+    and the buffer's size.  Both sides of a shared file derive it from the
+    dimensions, so a task names none of its offsets."""
     shapes = {"Qxx": (n, n), "Qux": (m, n), "Quu": (m, m), "qx1": (n,), "qu1": (m,),
               "Fx": (n, n), "Fu": (n, m), "f1": (n,), "asymmetry": (),
               "Kx": (m, n), "k1": (m,), "Kz": (m, n), "states": (n,), "controls": (m,),
               "lambdas": (n,), "x_costs": (n,), "u_costs": (m,)}
     layout, size = {}, 0
-    for name in StageStack.FIELDS + RECORD:
-        first, last = _extent(name, 0, rows, kz_end)
+    for name in RECORD + StageStack.FIELDS:
+        first, last = _extent(name, 0, end, kz_end)
         layout[name] = size, (last - first, *shapes[name])
         size += -(-math.prod(layout[name][1]) // 8) * 64
     return layout, size
 
 
 def _views(buffer, layout, names, lo, hi, kz_end):
-    """Views of the stacks ``names`` of a :func:`_layout` file in ``buffer``,
+    """Views of the stacks ``names`` of a :func:`_layout` buffer,
     each over the rows the run over its stages ``[lo, hi)`` has."""
     views = {}
     for name in names:
@@ -238,30 +241,29 @@ def _views(buffer, layout, names, lo, hi, kz_end):
     return views
 
 
-def _new_record(n, m, rows, kz_end):
-    """The record of a run over ``rows`` stages in arrays of its own."""
-    layout, _ = _layout(n, m, rows, kz_end)
-    return {name: np.empty(layout[name][1]) for name in RECORD}
-
-
-def _publish(stages, path, layout, size):
-    """Write ``stages`` to a new file at ``path`` at their :func:`_layout`
-    offsets and reserve the rest of its ``size`` bytes for the record.
-    Returns the stage bytes written and a read-only mapping of the file.
+def _publish(stages, lo, path, layout, size):
+    """Create a file of ``size`` bytes at ``path``, write ``stages``, the
+    horizon's from stage ``lo`` on, at their :func:`_layout` rows and
+    reserve the record part.  Returns the stage bytes written and a
+    read-write mapping of the file.
 
     The stages go out through ``os.pwrite``, so this process only ever
-    touches the record's pages.  The file is removed again if writing fails.
+    touches the record's pages, and the stage rows before ``lo`` stay a
+    hole.  The file is removed again if writing fails.
     """
     fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
     try:
+        os.ftruncate(fd, size)
         for field in StageStack.FIELDS:
             data = memoryview(np.ascontiguousarray(getattr(stages, field), float)).cast("B")
-            at, _ = layout[field]
+            offset, shape = layout[field]
+            at = offset + lo * 8 * math.prod(shape[1:])
             while data:
                 written = os.pwrite(fd, data, at)
                 data, at = data[written:], at + written
-        os.posix_fallocate(fd, 0, size)  # no room shows here, not in a worker
-        mapped = mmap.mmap(fd, size, access=mmap.ACCESS_READ)
+        # no room shows here, not in a worker; the stages start where the record ends
+        os.posix_fallocate(fd, 0, layout[StageStack.FIELDS[0]][0])
+        mapped = mmap.mmap(fd, size)
     except BaseException:
         os.unlink(path)
         raise
@@ -299,14 +301,6 @@ def _merge(results):
     merged = {key: [r[key] for r in results if key in r] for key in set().union(*results)}
     return {key: sum(v, ()) if isinstance(v[0], tuple) else np.concatenate(v)
             for key, v in merged.items()}
-
-
-def _join(records, name):
-    """Field ``name`` of consecutive runs' records, stacked over their stages
-    and, from the last record, the horizon's end."""
-    *head, last = records
-    ended = name in ("states", "lambdas")
-    return np.concatenate([r[name][:-1] if ended else r[name] for r in head] + [last[name]])
 
 
 def _sweep_run(stages, record, lo, batches):
@@ -348,17 +342,15 @@ def _on_shared(fn, task):
     """``fn(stages, record, lo, *args)`` of a pool run, over its views in a
     :func:`_publish` file.
 
-    ``task`` is ``((path, base, end, kz_end, n, m), lo, hi, *args)``: the
-    file holds stages ``[base, end)`` and the record of one run over them,
-    the endpoint segments end at stage ``kz_end``, and this run is stages
-    ``[lo, hi)``.
+    ``task`` is ``((path, n, m, end, kz_end), lo, hi, *args)``: the file
+    is laid out over stages ``[0, end)``, the endpoint segments end at stage
+    ``kz_end``, and this run is stages ``[lo, hi)``.
     """
-    (path, base, end, kz_end, n, m), lo, hi, *args = task
+    (path, n, m, end, kz_end), lo, hi, *args = task
     with open(path, "r+b") as file:
         mapped = mmap.mmap(file.fileno(), 0)
-    layout, _ = _layout(n, m, end - base, kz_end - base)
-    record = _views(mapped, layout, StageStack.FIELDS + RECORD, lo - base, hi - base,
-                    kz_end - base)
+    layout, _ = _layout(n, m, end, kz_end)
+    record = _views(mapped, layout, StageStack.FIELDS + RECORD, lo, hi, kz_end)
     del mapped
     stages = StageStack(*(record.pop(field) for field in StageStack.FIELDS))
     try:
@@ -381,24 +373,39 @@ def _finish_shared(task):
     return _on_shared(_reconstruct, task)
 
 
-def _sweep(problem, splits, workers, constrained, terminal, tolerances, collect):
+def _dispatch(stages, held, fn, shared_fn, tasks):
+    """:func:`_run_tasks` of one phase over the runs a :func:`_swept`
+    ``held``, given per run ``(lo, hi, *args)``: ``fn(stages[lo:hi], record,
+    lo, *args)`` here for this process's runs, over their records in the
+    buffer, and ``shared_fn((header, lo, hi, *args))`` in the pool for the
+    rest."""
+    _, records, header = held
+    return _run_tasks(
+        [(fn, (stages[lo:hi], record, lo, *args))
+         for (lo, hi, *args), record in zip(tasks, records)],
+        [(shared_fn, (header, *task)) for task in tasks[len(records):]])
+
+
+@contextlib.contextmanager
+def _swept(problem, splits, workers, constrained, terminal, tolerances, collect):
     """Phase 1 over the segments ``[splits[j], splits[j+1])``, the first
     ``constrained`` endpoint-constrained, each other ``j`` ending in
-    ``terminal[:][j - constrained]``.
+    ``terminal[:][j - constrained]``, as a context that holds the solve's
+    buffer.
 
     Each process gets a run of segments, this process the first and each
     worker slot one more, and sweeps it as one lockstep batch per kind of
-    segment into the run's record: this process's runs' in arrays of their
-    own, the pool's in one file in :data:`SHARED_DIR` behind their stages,
-    one stack per field over all its runs.  If the file cannot be created,
-    this process sweeps every run.  Returns the link blocks stacked in
-    segment order, the batches' ``(first, last)`` segments, the processes
-    used, the bytes shared, the ``publish``, ``local_sweep`` and ``wait``
-    spans in seconds and the runs: per run its ``(first, last)`` segments
-    and its stages ``(lo, hi)``, the records (this process's runs', then
-    the pool's stacks) and the pool's file header (else None).  The caller
-    removes the file, ``header[0]``, when done with it; this does if the
-    sweep fails.
+    segment into the run's record, its rows of the :func:`_layout` buffer
+    over stages ``[0, splits[-1])``.  With a pool the buffer is one file in
+    :data:`SHARED_DIR` that also holds the pool's stages; else, or if the
+    file cannot be created, it is anonymous memory and this process sweeps
+    every run.  Yields the link blocks stacked in segment order, the
+    batches' ``(first, last)`` segments, the processes used, the bytes
+    shared, the ``publish``, ``local_sweep`` and ``wait`` spans in seconds,
+    the record's stacks over the whole horizon (views of the buffer) and
+    the runs for :func:`_dispatch`: per run its ``(first, last)`` segments
+    and its stages ``(lo, hi)``, this process's runs' records and the
+    file's header (else None).  The file is removed when the context ends.
     """
     J, n, m = len(splits) - 1, problem.n, problem.m
     runs = [(int(run[0]), int(run[-1]))
@@ -416,32 +423,32 @@ def _sweep(problem, splits, workers, constrained, terminal, tolerances, collect)
              x[a - constrained:b + 1 - constrained] for x in terminal),
          tolerances, collect and a < constrained)
         for a, b in batches if first <= a <= last)) for first, last, lo, hi in runs]
-    stages, kz_end, shared, local, header = problem.stages, splits[constrained], 0, 1, None
+    end, kz_end = splits[-1], splits[constrained]
+    layout, size = _layout(n, m, end, kz_end)
+    shared, header = 0, None
     tic = time.perf_counter()
     if len(runs) > 1:
-        base, end = tasks[1][0], splits[-1]
-        header = (os.path.join(SHARED_DIR, f"parlqr-{os.getpid()}-{next(_FILE_NUMBERS)}"),
-                  base, end, kz_end, n, m)
-        layout, size = _layout(n, m, end - base, kz_end - base)
+        lo, path = tasks[1][0], os.path.join(
+            SHARED_DIR, f"parlqr-{os.getpid()}-{next(_FILE_NUMBERS)}")
         try:
-            shared, mapped = _publish(stages[base:end], header[0], layout, size)
+            shared, buffer = _publish(problem.stages[lo:end], lo, path, layout, size)
+            header = path, n, m, end, kz_end
         except OSError:  # no shared directory or no room: sweep here
-            header, local = None, len(tasks)
+            pass
+    if header is None:
+        buffer = mmap.mmap(-1, size)
     timings = {"publish": time.perf_counter() - tic}
     try:
-        records = [_new_record(n, m, hi - lo, kz_end - lo) for lo, hi, _ in tasks[:local]]
-        results, timings["local_sweep"], timings["wait"] = _run_tasks(
-            [(_sweep_run, (stages[lo:hi], record, lo, batch))
-             for (lo, hi, batch), record in zip(tasks, records)],
-            [(_sweep_shared, (header, *task)) for task in tasks[local:]])
-    except BaseException:
+        local = 1 if header else len(tasks)
+        held = (runs, [_views(buffer, layout, RECORD, lo, hi, kz_end)
+                       for lo, hi, _ in tasks[:local]], header)
+        results, timings["local_sweep"], timings["wait"] = _dispatch(
+            problem.stages, held, _sweep_run, _sweep_shared, tasks)
+        yield (_merge(results), tuple(map(tuple, batches)), len(tasks) if header else 1,
+               shared, timings, _views(buffer, layout, RECORD, 0, end, kz_end), held)
+    finally:
         if header is not None:
             os.unlink(header[0])
-        raise
-    if header is not None:  # the pool's stacks, after this process's runs
-        records.append(_views(mapped, layout, RECORD, 0, end - base, kz_end - base))
-    return (_merge(results), tuple(map(tuple, batches)), len(tasks) if local < len(tasks) else 1,
-            shared, timings, (runs, records, header))
 
 
 # ---------------------------------------------------------------------------
@@ -634,21 +641,16 @@ def _reconstruct(stages, record, lo, splits, starts, links, seeds, terminal):
 
 
 def _finish(problem, splits, held, starts, links, seeds):
-    """Phase 3 of each run a :func:`_sweep` ``held``, given its segments' first
-    states, link points and end multipliers, here or in the run's worker
-    slot, into the run's record.  Returns the largest of the runs' KKT row
-    entries.
+    """Phase 3 of each run a :func:`_swept` ``held``, given its segments'
+    first states, link points and end multipliers, here or in the run's
+    worker slot, into the run's record.  Returns the largest of the runs'
+    KKT row entries.
     """
-    runs, records, header = held
     J, terminal = len(splits) - 1, (problem.terminal.Qxx, problem.terminal.qx1)
     tasks = [(lo, hi, splits[first:last + 2], starts[first:last + 1], links[first:last + 1],
               seeds[first:last + 1], terminal if last == J - 1 else None)
-             for first, last, lo, hi in runs]
-    local = len(records) - (header is not None)
-    residuals, _, _ = _run_tasks(
-        [(_reconstruct, (problem.stages[lo:hi], record, lo, *rest))
-         for (lo, hi, *rest), record in zip(tasks, records[:local])],
-        [(_finish_shared, (header, *task)) for task in tasks[local:]])
+             for first, last, lo, hi in held[0]]
+    residuals, _, _ = _dispatch(problem.stages, held, _reconstruct, _finish_shared, tasks)
     return float(np.max(residuals))
 
 
@@ -718,12 +720,10 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
         partition = make_partition(problem.T, J)
     workers = default_workers(J) if workers is None else max(1, workers)
     splits, terminal = partition.split_times, problem.terminal
-    seg, batches, used, shared, timings, held = _sweep(
-        problem, splits, workers, J - 1, (terminal.Qxx[None], terminal.qx1[None]),
-        tolerances, collect_diagnostics)
-    runs, records, header = held
     x_init, stages = problem.x_init, problem.stages
-    try:
+    with _swept(problem, splits, workers, J - 1, (terminal.Qxx[None], terminal.qx1[None]),
+                tolerances, collect_diagnostics) as (
+            seg, batches, used, shared, timings, record, held):
         tic = time.perf_counter()
         links, nus, link_residual, link_rcond = _solve_links(seg, x_init)
         timings["links"], tic = time.perf_counter() - tic, time.perf_counter()
@@ -748,18 +748,16 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
         for at, _, Hz, _ in _by_rows(seg["feasibility"]):
             mu_left[at] = mu_left[at] - np.matvec(Hz.mT, np.stack([nus[j] for j in at]))
         residual = _finish(problem, splits, held, starts, links, -mu_left)
+        # copies: a view would keep the buffer alive, a file's stage pages included
         Kx, k1, states, controls, lambdas, x_costs, u_costs = (
-            _join(records, name) for name in RECORD if name != "Kz")
-    finally:
-        if header is not None:
-            os.unlink(header[0])
+            record[name].copy() for name in RECORD if name != "Kz")
     lambda_right = lambdas[list(splits[1:-1])]  # each segment's first multiplier
     mismatch = float(np.abs(mu_left + lambda_right).max())
     timings["reconstruct"], tic = time.perf_counter() - tic, time.perf_counter()
 
     # the rows the runs left, of each last stage before another run's, and
     # the terminal and initial rows
-    t = np.array([hi - 1 for *_, hi in runs[:-1]], dtype=int)
+    t = np.array([hi - 1 for *_, hi in held[0][:-1]], dtype=int)
     rows = stage_residuals(stages[t], states[t], states[t + 1], controls[t],
                            lambdas[t], lambdas[t + 1])
     residual = float(np.max([residual, np.abs(rows).max(initial=0.0)] + [
@@ -833,14 +831,11 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
                  for (Vxx, Vzx, _, vx1, _), z in zip(vf[1:-1], links[1:])]
     terminals.append(TerminalCost(*vf[-1]))
     splits = partition.split_times[:-1]
-    *_, (_, records, header) = _sweep(
-        problem, splits, workers, 0,
-        (np.stack([t.Qxx for t in terminals]), np.stack([t.qx1 for t in terminals])),
-        tolerances, False)
-    if header is not None:
-        os.unlink(header[0])
     policies = list(result.policies)
-    policies[:splits[-1]] = _feedback_policies(_join(records, "Kx"), _join(records, "k1"))
+    with _swept(problem, splits, workers, 0,
+                (np.stack([t.Qxx for t in terminals]), np.stack([t.qx1 for t in terminals])),
+                tolerances, False) as (*_, record, _):
+        policies[:splits[-1]] = _feedback_policies(record["Kx"].copy(), record["k1"].copy())
     states, controls = rollout(problem, policies, problem.x_init)
     deviation = max(float(np.abs(states - result.states).max()),
                     float(np.abs(controls - result.controls).max()))

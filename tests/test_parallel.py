@@ -44,12 +44,11 @@ def sweep(problem, part, workers=1, collect=False):
     """The segment results of a partitioned solve's phase 1, with its gains
     stacked in stage order, its runs and workers."""
     terminal = problem.terminal
-    seg, batches, used, *_, (_, records, header) = parallel._sweep(
-        problem, part.split_times, workers, part.J - 1, (terminal.Qxx[None], terminal.qx1[None]),
-        DEFAULT_TOLERANCES, collect)
-    if header is not None:
-        os.unlink(header[0])
-    seg.update((name, parallel._join(records, name)) for name in ("Kx", "k1", "Kz"))
+    with parallel._swept(
+            problem, part.split_times, workers, part.J - 1,
+            (terminal.Qxx[None], terminal.qx1[None]), DEFAULT_TOLERANCES, collect) as (
+            seg, batches, used, *_, record, _):
+        seg.update((name, record[name].copy()) for name in ("Kx", "k1", "Kz"))
     return seg, batches, used
 
 
@@ -506,14 +505,15 @@ class TestLockstep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cholesky_failure_in_a_batch_reports_global_stage(self, workers):
         # with m > n a unit segment keeps free control directions, whose
-        # cost Hessian its sweep factors
+        # cost Hessian its sweep factors; with two workers stage 13 lies in
+        # the pool's run and stage 3 in this process's own
         broken = with_control_cost(generate(1, 2, 16, seed=3), 13, -1.0)
-        with pytest.raises(CholeskyFailure) as info:
-            parallel.solve_parallel(broken, J=16, workers=workers)
-        assert info.value.stage == 13
-        assert str(info.value) == "Cholesky failed at stage 13"
-        # with two workers the failing batch is swept by the pool
-        assert not shared_files()
+        for stage, problem in ((13, broken), (3, with_control_cost(broken, 3, -1.0))):
+            with pytest.raises(CholeskyFailure) as info:
+                parallel.solve_parallel(problem, J=16, workers=workers)
+            assert info.value.stage == stage
+            assert str(info.value) == f"Cholesky failed at stage {stage}"
+            assert not shared_files()
 
 
 class TestPoolSize:
@@ -685,6 +685,8 @@ class TestSegmentFailures:
                             workers=workers)
         assert info.value.stage == 6
         assert str(info.value) == "Cholesky failed at stage 6"
+        # with two workers stage 6 lies in this process's own run
+        assert not shared_files()
 
 
 class TestSmooth:
