@@ -24,12 +24,15 @@ The inputs, all from ``parlqr.generate(n, m, T, seed)``:
 For each input: states, controls, multipliers, policy gains, objective and
 KKT residual (the last two as 0-d arrays) of ``solve_serial``, of
 ``solve_parallel`` and of ``smooth`` with 1, 2 and 3 workers, the link
-points, the same two with 2 workers and ``parlqr.parallel.SHARED_DIR``
-pointed at a missing directory (``w2 unshared``: the calling process takes
-every run, its records in anonymous memory), and
-``solve_endpoint_affine`` over the first ``min(256, T)`` stages evaluated
-at the serial solution's state there, with its ``mu``, ``Kz``, the
-initial value's ``Vzz`` and its trajectory maps ``Ra, Rz, r1, Sa, Sz, s1``.
+points, the one-worker solve's ``segment_diagnostics`` (it collects them)
+as ``basis_defect`` and ``projector_defect`` arrays with NaN where a
+segment has none (NaN counts as equal to NaN), the partitioned solve and
+``smooth`` with 2 workers and ``parlqr.parallel.SHARED_DIR`` pointed at a
+missing directory (``w2 unshared``: the calling process takes every run,
+its records in anonymous memory), and ``solve_endpoint_affine`` over the
+first ``min(256, T)`` stages evaluated at the serial solution's state
+there, with its ``mu``, ``Kz``, the initial value's ``Vzz`` and its
+trajectory maps ``Ra, Rz, r1, Sa, Sz, s1``.
 Last, the bytes of each CSV file of ``demo.run_demo(DemoConfig(T=120),
 directory, workers=1)``.
 """
@@ -83,9 +86,14 @@ def dump(path):
             serial = parlqr.solve_serial(problem)
             _solution_arrays(out, f"{name}/serial", serial)
             for w in WORKERS:
-                sol = parlqr.solve_parallel(problem, J, workers=w)
+                sol = parlqr.solve_parallel(problem, J, workers=w, collect_diagnostics=w == 1)
                 _solution_arrays(out, f"{name}/parallel w{w}", sol)
                 out[f"{name}/parallel w{w}/links"] = sol.details.link_points
+                if w == 1:
+                    for field in ("basis_defect", "projector_defect"):
+                        out[f"{name}/parallel diagnostics/{field}"] = np.array(
+                            [np.nan if d is None else getattr(d, field)
+                             for d in sol.details.segment_diagnostics])
             for w in SMOOTH_WORKERS:
                 base = parlqr.solve_parallel(problem, smooth_J, workers=w)
                 _solution_arrays(out, f"{name}/smooth w{w}",
@@ -131,7 +139,7 @@ def _load(src, directory, label):
 def _gap(a, b):
     if a.shape != b.shape:
         return float("inf")
-    return float(np.abs(a - b).max(initial=0.0))
+    return float(np.nanmax(np.abs(a - b), initial=0.0))
 
 
 def compare(parent_src, change_src):
@@ -146,7 +154,7 @@ def compare(parent_src, change_src):
                   f"{'parent' if key in parent else 'change'})")
             differ += 1
             continue
-        equal = np.array_equal(parent[key], change[key])
+        equal = np.array_equal(parent[key], change[key], equal_nan=True)
         differ += not equal
         print(f"{str(equal):>5}  {_gap(parent[key], change[key]):10.3e}  {key}")
     print(f"# parent against change: {differ} of "

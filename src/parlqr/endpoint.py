@@ -279,19 +279,24 @@ def _pending_rows(groups, Fx, Fu, f1, Muu, rhs, where, rank_tol, diag):
     return parts, pending, plain
 
 
-def sweep_segments(stages, splits, Qxx_T, qx1_T, k, tolerances=DEFAULT_TOLERANCES,
+def sweep_segments(stages, splits, Qxx_T, qx1_T, constrained, tolerances=DEFAULT_TOLERANCES,
                    collect_diagnostics=False):
     """Lockstep Riccati sweeps of the segments ``stages[splits[b]:splits[b+1]]``.
 
-    Each runs back from its terminal cost ``(Qxx_T[b], qx1_T[b])`` with
-    ``k = n`` endpoint rows seeded at its end or none; a lone segment runs
-    on 2-D arrays.  Returns the held order (:func:`lockstep`), per-segment
-    :class:`StageDiagnostics` or None, and per step the stages, ``(positions,
-    [Kx | Kz | k1])`` per kernel, ``(positions, Hx, Hz, h1)`` per group of
-    rows pending after it and, where a segment starts or for a lone one (else
-    None), the values ``(Vxx, Vzx, Vzz, vx1, vz1, const)``.
+    Each runs back from its terminal cost ``(Qxx_T[b], qx1_T[b])``; the
+    first ``constrained`` have ``n`` endpoint rows seeded at their ends, the
+    others none.  The endpoint block is ``k = n`` wide if any segment is
+    constrained, else empty; an unconstrained segment's block stays exactly
+    zero and its other bits are those of its sweep at width zero.  A lone
+    segment runs on 2-D arrays.  Returns the held order (:func:`lockstep`),
+    per-segment :class:`StageDiagnostics` or None, and per step the stages,
+    ``(positions, [Kx | Kz | k1])`` per kernel, ``(positions, Hx, Hz, h1)``
+    per group of rows pending after it and, where a segment starts or for a
+    lone one (else None), the values ``(Vxx, Vzx, Vzz, vx1, vz1, const)``.
     """
-    n, m, e = stages.Qxx.shape[1], stages.Quu.shape[1], stages.Qxx.shape[1] + k
+    n, m = stages.Qxx.shape[1], stages.Quu.shape[1]
+    k = n if constrained else 0
+    e = n + k
     lone = len(splits) == 2
     order, plan = (np.zeros(1, int), [(1, t) for t in reversed(range(*splits))]
                    ) if lone else lockstep(splits)
@@ -300,8 +305,8 @@ def sweep_segments(stages, splits, Qxx_T, qx1_T, k, tolerances=DEFAULT_TOLERANCE
     Vxx, vx1 = (Qxx_T[0], qx1_T[0]) if lone else (Qxx_T[order], qx1_T[order])
     Vzx, Vzz, vz1 = (np.zeros(lead + shape) for shape in ((k, n), (k, k), (k,)))
     const = 0.0 if lone else np.zeros(B)
-    groups = [(np.arange(B), np.tile(np.eye(k, n), (B, 1, 1)),
-               np.tile(-np.eye(k), (B, 1, 1)), np.zeros((B, k)))] if k else []
+    groups = [(np.flatnonzero(order < constrained), np.tile(np.eye(k, n), (constrained, 1, 1)),
+               np.tile(-np.eye(k), (constrained, 1, 1)), np.zeros((constrained, k)))] if k else []
     diag = (np.zeros(B), np.zeros(B)) if collect_diagnostics else None
     stage_index = np.arange(len(stages))
     rhs = rhs_all = np.empty(lead + (m, e + 1))  # [Mux | Mzu' | mu1], refilled every step
@@ -359,9 +364,10 @@ def sweep_segments(stages, splits, Qxx_T, qx1_T, k, tolerances=DEFAULT_TOLERANCE
         last = lone or i + 1 == len(plan) or plan[i + 1][0] < B
         steps.append((rows, parts, groups, (Vxx, Vzx, Vzz, vx1, vz1, const) if last else None))
 
-    # rows never grow as a sweep goes back, so the most rows seen are its k
+    # rows never grow as a sweep goes back, so the most rows seen are those seeded
     diagnostics = [None] * len(order) if diag is None else [
-        StageDiagnostics(float(basis), float(projector), k) for basis, projector in zip(*diag)]
+        StageDiagnostics(float(basis), float(projector), k * (j < constrained))
+        for j, basis, projector in zip(order, *diag)]
     return order, [diagnostics[b] for b in np.argsort(order)], steps
 
 
@@ -408,8 +414,8 @@ def backward_pass(stages, terminal=None, *, terminal_constrained=True,
     terminal = TerminalCost.zero(n) if terminal is None else terminal
     k = n if terminal_constrained else 0
     _, (diagnostics,), steps = sweep_segments(
-        stages, (0, T), terminal.Qxx[None], terminal.qx1[None], k, tolerances,
-        collect_diagnostics)
+        stages, (0, T), terminal.Qxx[None], terminal.qx1[None], int(terminal_constrained),
+        tolerances, collect_diagnostics)
     policies, values, constraints = [None] * T, [None] * (T + 1), [None] * (T + 1)
     values[T] = ValueFunction._from_blocks(terminal.Qxx, np.zeros((k, n)), np.zeros((k, k)),
                                            terminal.qx1, np.zeros(k), 0.0)

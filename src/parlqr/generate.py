@@ -15,10 +15,11 @@ def generate(n, m, T, seed):
     """Random strictly convex problem, reproducible from the seed.
 
     ``Quu = B B' + I`` for a standard-normal ``B``; the state-cost cross
-    term is shrunk until the control-eliminated state cost is positive
-    semi-definite; ``Fx`` is rescaled to spectral radius at most 1.05 so
-    rollouts stay bounded over long horizons.  The draws go straight into
-    the stage stacks, stored as :class:`StageCost` would store them.
+    term is halved until the control-eliminated state cost is positive
+    semi-definite or the term is zero; ``Fx`` is rescaled to spectral
+    radius at most 1.05 so rollouts stay bounded over long horizons.  The
+    draws go straight into the stage stacks, stored as :class:`StageCost`
+    would store them.
     """
     if min(n, m, T) < 1:
         raise ValueError("n, m and T must all be at least 1")
@@ -31,7 +32,9 @@ def generate(n, m, T, seed):
         C = rng.standard_normal((n, n))
         Qxx_t = C @ C.T
         Qux[t] = 0.3 * rng.standard_normal((m, n))
-        while np.linalg.eigvalsh(
+        # at Qux = 0 the eliminated cost is C C', which rounding can leave
+        # a hair below PSD: halving further would never end
+        while Qux[t].any() and np.linalg.eigvalsh(
                 Qxx_t - Qux[t].T @ np.linalg.solve(Quu_t, Qux[t])).min() < 0.0:
             Qux[t] *= 0.5
         (Qxx[t], dx), (Quu[t], du) = _symmetrized(Qxx_t, "Qxx"), _symmetrized(Quu_t, "Quu")

@@ -28,9 +28,9 @@ calling process takes the first run, each worker slot of the pool (a
 single-process pool per slot) one more.  Phases 1 and 3 are functions of a
 run's stages and its record, the run's gains and results, one stack per
 field, so no process keeps anything between phases.  In phase 1 each
-process sweeps its run as one lockstep batch per kind of segment
-(:func:`parlqr.endpoint.sweep_segments`), writes the gains to the record
-and returns only the link blocks: each segment's initial cost-to-go,
+process sweeps its run, the horizon's last segment included, as one lockstep
+batch (:func:`parlqr.endpoint.sweep_segments`), writes the gains to the
+record and returns only the link blocks: each segment's initial cost-to-go,
 feasibility rows and diagnostics.  Phase 2 is the link solve in the
 calling process.  In phase 3 each run gets its segments' first states,
 link points and end multipliers, reads its gains, folds ``Kz z`` into
@@ -129,10 +129,6 @@ class Partition:
     def segment(self, j):
         return self.split_times[j], self.split_times[j + 1]
 
-    @property
-    def interior(self):
-        return self.split_times[1:-1]
-
 
 def make_partition(T, J):
     """Balanced partition: segment lengths differ by at most one.
@@ -178,7 +174,7 @@ SHARED_DIR = "/dev/shm"
 _FILE_NUMBERS = itertools.count()
 
 # The fields of a run's record, one stack each: the gains phase 1 writes
-# (``Kz`` over the endpoint segments alone) and what phase 3 writes, ``k1``
+# (``Kz`` zero past the endpoint segments) and what phase 3 writes, ``k1``
 # again with ``Kz z`` folded in; states and multipliers have one row more,
 # the horizon's end where the run ends it
 RECORD = ("Kx", "k1", "Kz", "states", "controls", "lambdas", "x_costs", "u_costs")
@@ -203,41 +199,39 @@ def shutdown_pools():
 atexit.register(shutdown_pools)
 
 
-def _extent(name, lo, hi, kz_end):
+def _extent(name, lo, hi):
     """The rows ``[first, end)`` of stage or record field ``name`` that the
-    run over stages ``[lo, hi)`` has, the endpoint segments ending at
-    ``kz_end``."""
-    if name == "Kz":
-        return lo, max(lo, min(hi, kz_end))
+    run over stages ``[lo, hi)`` has."""
     return lo, hi + (name in ("states", "lambdas"))
 
 
-def _layout(n, m, end, kz_end):
+def _layout(n, m, k, end):
     """Byte offset and shape of each stack of a solve's buffer over its
     stages ``[0, end)``, 64-byte aligned: the :data:`RECORD` of one run over
-    all of them, then the stage fields in :attr:`StageStack.FIELDS` order;
-    and the buffer's size.  Both sides of a shared file derive it from the
-    dimensions, so a task names none of its offsets."""
+    all of them, ``Kz`` ``k`` columns wide, then the stage fields in
+    :attr:`StageStack.FIELDS` order; and the buffer's size.  Both sides of a
+    shared file derive it from the dimensions, so a task names none of its
+    offsets."""
     shapes = {"Qxx": (n, n), "Qux": (m, n), "Quu": (m, m), "qx1": (n,), "qu1": (m,),
               "Fx": (n, n), "Fu": (n, m), "f1": (n,), "asymmetry": (),
-              "Kx": (m, n), "k1": (m,), "Kz": (m, n), "states": (n,), "controls": (m,),
+              "Kx": (m, n), "k1": (m,), "Kz": (m, k), "states": (n,), "controls": (m,),
               "lambdas": (n,), "x_costs": (n,), "u_costs": (m,)}
     layout, size = {}, 0
     for name in RECORD + StageStack.FIELDS:
-        first, last = _extent(name, 0, end, kz_end)
+        first, last = _extent(name, 0, end)
         layout[name] = size, (last - first, *shapes[name])
         size += -(-math.prod(layout[name][1]) // 8) * 64
     return layout, size
 
 
-def _views(buffer, layout, names, lo, hi, kz_end):
+def _views(buffer, layout, names, lo, hi):
     """Views of the stacks ``names`` of a :func:`_layout` buffer,
     each over the rows the run over its stages ``[lo, hi)`` has."""
     views = {}
     for name in names:
         offset, shape = layout[name]
         stack = np.frombuffer(buffer, float, math.prod(shape), offset).reshape(shape)
-        views[name] = stack[slice(*_extent(name, lo, hi, kz_end))]
+        views[name] = stack[slice(*_extent(name, lo, hi))]
     return views
 
 
@@ -297,60 +291,58 @@ def _run_tasks(local, remote):
 
 
 def _merge(results):
-    """Dicts of per-segment results, stacked key by key."""
+    """The runs' dicts of per-segment results, stacked key by key."""
     merged = {key: [r[key] for r in results if key in r] for key in set().union(*results)}
     return {key: sum(v, ()) if isinstance(v[0], tuple) else np.concatenate(v)
             for key, v in merged.items()}
 
 
-def _sweep_run(stages, record, lo, batches):
-    """Phase 1 of one run of segments: a lockstep sweep per kind of segment.
+def _sweep_run(stages, record, lo, splits, terminal, tolerances, collect):
+    """Phase 1 of one run of segments: one lockstep sweep over all of them.
 
     ``stages`` holds the run's stages, the first of them stage ``lo`` of
-    the horizon.  Each batch is ``(splits, k, terminal, tolerances,
-    collect)``, its segment bounds on the horizon; ``terminal`` is None for
-    endpoint segments (``k = n``), whose terminal cost is zero.  Writes the
-    gains ``Kx``, ``k1`` and, over the endpoint segments, ``Kz`` into the
-    run's ``record`` and returns the link blocks: each segment's initial
-    cost-to-go and diagnostics and, where endpoint-constrained, its rows.
+    the horizon, and ``splits`` its segment bounds on the horizon.  The
+    run's endpoint segments come first, with zero terminal costs; the
+    others end in ``terminal``, stacked ``(Qxx, qx1)``.  Writes the gains
+    ``Kx``, ``k1`` and, where the run has endpoint segments, ``Kz`` into
+    the run's ``record`` and returns the link blocks: each segment's initial
+    cost-to-go, diagnostics where endpoint-constrained and collected (else
+    None) and, where endpoint-constrained, its rows.
     """
-    n = stages.Qxx.shape[1]
-    blocks = []
-    for splits, k, terminal, tolerances, collect in batches:
-        first = splits[0]
-        if terminal is None:
-            terminal = np.zeros((len(splits) - 1, n, n)), np.zeros((len(splits) - 1, n))
-        local = tuple(s - first for s in splits)
-        try:
-            order, diagnostics, steps = ep.sweep_segments(
-                stages[first - lo:splits[-1] - lo], local, *terminal, k, tolerances, collect)
-        except CholeskyFailure as exc:
-            # report the stage on the global horizon, not within the batch
-            raise CholeskyFailure(first + exc.stage) from exc
-        g, (Vxx, Vzx, Vzz, vx1, vz1), feasibility = ep.segment_ends(local, order, steps)
-        rows = slice(first - lo, splits[-1] - lo)
-        record["Kx"][rows], record["k1"][rows] = g[:, :, :n], g[:, :, -1]
-        blocks.append({"Vxx": Vxx, "vx1": vx1, "diagnostics": tuple(diagnostics)})
-        if k:
-            record["Kz"][rows] = g[:, :, n:-1]
-            blocks[-1].update(Vzx=Vzx, Vzz=Vzz, vz1=vz1,
-                              feasibility=tuple((c.Hx, c.Hz, c.h1) for c in feasibility))
-    return _merge(blocks)
+    n, J = stages.Qxx.shape[1], len(splits) - 1
+    c = J - len(terminal[0])  # the endpoint segments
+    Qxx_T, qx1_T = (np.concatenate([np.zeros((c, *x.shape[1:])), x]) for x in terminal)
+    local = tuple(s - lo for s in splits)
+    try:
+        order, diagnostics, steps = ep.sweep_segments(
+            stages, local, Qxx_T, qx1_T, c, tolerances, collect)
+    except CholeskyFailure as exc:
+        # report the stage on the global horizon, not within the run
+        raise CholeskyFailure(lo + exc.stage) from exc
+    g, (Vxx, Vzx, Vzz, vx1, vz1), feasibility = ep.segment_ends(local, order, steps)
+    record["Kx"][:], record["k1"][:] = g[:, :, :n], g[:, :, -1]
+    blocks = {"Vxx": Vxx, "vx1": vx1,
+              "diagnostics": tuple(diagnostics[:c]) + (None,) * (J - c)}
+    if c:
+        record["Kz"][:] = g[:, :, n:-1]
+        blocks.update(Vzx=Vzx[:c], Vzz=Vzz[:c], vz1=vz1[:c],
+                      feasibility=tuple((f.Hx, f.Hz, f.h1) for f in feasibility[:c]))
+    return blocks
 
 
 def _on_shared(fn, task):
     """``fn(stages, record, lo, *args)`` of a pool run, over its views in a
     :func:`_publish` file.
 
-    ``task`` is ``((path, n, m, end, kz_end), lo, hi, *args)``: the file
-    is laid out over stages ``[0, end)``, the endpoint segments end at stage
-    ``kz_end``, and this run is stages ``[lo, hi)``.
+    ``task`` is ``((path, n, m, k, end), lo, hi, *args)``: the file is laid
+    out over stages ``[0, end)`` with ``Kz`` ``k`` columns wide, and this
+    run is stages ``[lo, hi)``.
     """
-    (path, n, m, end, kz_end), lo, hi, *args = task
+    (path, n, m, k, end), lo, hi, *args = task
     with open(path, "r+b") as file:
         mapped = mmap.mmap(file.fileno(), 0)
-    layout, _ = _layout(n, m, end, kz_end)
-    record = _views(mapped, layout, StageStack.FIELDS + RECORD, lo, hi, kz_end)
+    layout, _ = _layout(n, m, k, end)
+    record = _views(mapped, layout, StageStack.FIELDS + RECORD, lo, hi)
     del mapped
     stages = StageStack(*(record.pop(field) for field in StageStack.FIELDS))
     try:
@@ -394,37 +386,32 @@ def _swept(problem, splits, workers, constrained, terminal, tolerances, collect)
     buffer.
 
     Each process gets a run of segments, this process the first and each
-    worker slot one more, and sweeps it as one lockstep batch per kind of
-    segment into the run's record, its rows of the :func:`_layout` buffer
-    over stages ``[0, splits[-1])``.  With a pool the buffer is one file in
-    :data:`SHARED_DIR` that also holds the pool's stages; else, or if the
-    file cannot be created, it is anonymous memory and this process sweeps
-    every run.  Yields the link blocks stacked in segment order, the
-    batches' ``(first, last)`` segments, the processes used, the bytes
-    shared, the ``publish``, ``local_sweep`` and ``wait`` spans in seconds,
-    the record's stacks over the whole horizon (views of the buffer) and
-    the runs for :func:`_dispatch`: per run its ``(first, last)`` segments
-    and its stages ``(lo, hi)``, this process's runs' records and the
-    file's header (else None).  The file is removed when the context ends.
+    worker slot one more, and sweeps it as one lockstep batch
+    (:func:`_sweep_run`) into the run's record, its rows of the
+    :func:`_layout` buffer over stages ``[0, splits[-1])``.  With a pool the
+    buffer is one file in :data:`SHARED_DIR` that also holds the pool's
+    stages; else, or if the file cannot be created, it is anonymous memory
+    and this process sweeps every run.  Yields the link blocks stacked in
+    segment order, the runs' ``(first, last)`` segments, the processes
+    used, the bytes shared, the ``publish``, ``local_sweep`` and ``wait``
+    spans in seconds, the record's stacks over the whole horizon (views of
+    the buffer) and the runs for :func:`_dispatch`: per run its ``(first,
+    last)`` segments and its stages ``(lo, hi)``, this process's runs'
+    records and the file's header (else None).  The file is removed when
+    the context ends.
     """
     J, n, m = len(splits) - 1, problem.n, problem.m
-    runs = [(int(run[0]), int(run[-1]))
-            for run in np.array_split(np.arange(J), min(workers, J))]
-    batches = []
-    for first, last in runs:
-        for j in range(first, last + 1):
-            if j in (first, constrained):
-                batches.append([j, j])
-            batches[-1][1] = j
-    runs = [(first, last, splits[first], splits[last + 1]) for first, last in runs]
-    tasks = [(lo, hi, tuple(
-        (tuple(splits[a:b + 2]), n if a < constrained else 0,
-         None if a < constrained else tuple(
-             x[a - constrained:b + 1 - constrained] for x in terminal),
-         tolerances, collect and a < constrained)
-        for a, b in batches if first <= a <= last)) for first, last, lo, hi in runs]
-    end, kz_end = splits[-1], splits[constrained]
-    layout, size = _layout(n, m, end, kz_end)
+    batches = tuple((int(run[0]), int(run[-1]))
+                    for run in np.array_split(np.arange(J), min(workers, J)))
+    runs, tasks = [], []
+    for first, last in batches:
+        free = min(max(first, constrained), last + 1)  # the run's first with a terminal cost
+        runs.append((first, last, splits[first], splits[last + 1]))
+        tasks.append((splits[first], splits[last + 1], tuple(splits[first:last + 2]),
+                      tuple(x[free - constrained:last + 1 - constrained] for x in terminal),
+                      tolerances, collect))
+    k, end = n if constrained else 0, splits[-1]
+    layout, size = _layout(n, m, k, end)
     shared, header = 0, None
     tic = time.perf_counter()
     if len(runs) > 1:
@@ -432,7 +419,7 @@ def _swept(problem, splits, workers, constrained, terminal, tolerances, collect)
             SHARED_DIR, f"parlqr-{os.getpid()}-{next(_FILE_NUMBERS)}")
         try:
             shared, buffer = _publish(problem.stages[lo:end], lo, path, layout, size)
-            header = path, n, m, end, kz_end
+            header = path, n, m, k, end
         except OSError:  # no shared directory or no room: sweep here
             pass
     if header is None:
@@ -440,12 +427,12 @@ def _swept(problem, splits, workers, constrained, terminal, tolerances, collect)
     timings = {"publish": time.perf_counter() - tic}
     try:
         local = 1 if header else len(tasks)
-        held = (runs, [_views(buffer, layout, RECORD, lo, hi, kz_end)
-                       for lo, hi, _ in tasks[:local]], header)
+        held = (runs, [_views(buffer, layout, RECORD, lo, hi)
+                       for lo, hi, *_ in tasks[:local]], header)
         results, timings["local_sweep"], timings["wait"] = _dispatch(
             problem.stages, held, _sweep_run, _sweep_shared, tasks)
-        yield (_merge(results), tuple(map(tuple, batches)), len(tasks) if header else 1,
-               shared, timings, _views(buffer, layout, RECORD, 0, end, kz_end), held)
+        yield (_merge(results), batches, len(tasks) if header else 1,
+               shared, timings, _views(buffer, layout, RECORD, 0, end), held)
     finally:
         if header is not None:
             os.unlink(header[0])
@@ -617,7 +604,7 @@ def _reconstruct(stages, record, lo, splits, starts, links, seeds, terminal):
     Fx, Qxx, Qux, qx1 = stages.Fx, stages.Qxx, stages.Qux, stages.qx1
     if len(links):  # the horizon's last segment has no endpoint to fold in
         z = np.repeat(links, np.diff(splits)[:len(links)], axis=0)
-        k1[:len(z)] = np.matvec(record["Kz"], z) + k1[:len(z)]
+        k1[:len(z)] = np.matvec(record["Kz"][:len(z)], z) + k1[:len(z)]
     # a link point, not the left neighbour's end state, starts a segment; the
     # row past L where the run does not end the horizon is the next run's
     states[list(splits[:-1])] = starts
@@ -682,7 +669,7 @@ class ParallelDetails:
     segment_diagnostics: tuple = None
     smooth_deviation: float = None
     workers: int = 1     # processes that swept the segments
-    batches: tuple = ()  # (first, last) segments of each sweep task
+    batches: tuple = ()  # (first, last) segments of each run
     shared_bytes: int = 0  # stage data written to the pool's shared file
     timings: dict = None   # seconds in publish, local_sweep, wait, links, reconstruct, residual
 

@@ -385,10 +385,10 @@ class TestLinkDiagnostics:
     def test_details_report_workers_and_batches(self):
         problem = generate(3, 2, 16, seed=3)
         one = parallel.solve_parallel(problem, J=8, workers=1)
-        assert (one.details.workers, one.details.batches) == (1, ((0, 6), (7, 7)))
+        assert (one.details.workers, one.details.batches) == (1, ((0, 7),))
         three = parallel.solve_parallel(problem, J=8, workers=3)
         assert three.details.workers == 3
-        assert three.details.batches == ((0, 2), (3, 5), (6, 6), (7, 7))
+        assert three.details.batches == ((0, 2), (3, 5), (6, 7))
 
 
 def without_controls(problem, stages):
@@ -424,7 +424,7 @@ class TestLockstep:
             alone = endpoint.backward_pass(
                 problem.stages[lo:hi], problem.terminal if last else None,
                 terminal_constrained=not last, collect_diagnostics=not last)
-            for name in ("Kx", "k1") + (() if last else ("Kz",)):
+            for name in ("Kx", "k1", "Kz"):
                 assert np.array_equal(
                     seg[name][lo:hi],
                     np.stack([getattr(p, name) for p in alone.policies]))
@@ -471,8 +471,8 @@ class TestLockstep:
         monkeypatch.setattr(parallel, "_run_tasks", capture)
         short, long = (parallel.solve_parallel(generate(3, 2, T, seed=3), J=8, workers=2)
                        for T in (256, 2048))
-        # one batch per worker per kind of segment, at any horizon
-        assert short.details.batches == long.details.batches == ((0, 3), (4, 6), (7, 7))
+        # one batch per worker, at any horizon
+        assert short.details.batches == long.details.batches == ((0, 3), (4, 7))
         assert long.details.shared_bytes > 7 * short.details.shared_bytes
         # eight times the stages, yet each sent task, the sweep and the
         # reconstruction of the pool's run, keeps its size up to the pickled
@@ -489,7 +489,7 @@ class TestLockstep:
         monkeypatch.setattr(parallel, "SHARED_DIR", str(tmp_path / "missing"))
         got = parallel.solve_parallel(problem, J=8, workers=2)
         assert (got.details.workers, got.details.shared_bytes) == (1, 0)
-        assert got.details.batches == ((0, 3), (4, 6), (7, 7))
+        assert got.details.batches == ((0, 3), (4, 7))
         assert_same_solution(got, want)
         assert_same_solution(parallel.smooth(problem, got, workers=2),
                              parallel.smooth(problem, want, workers=1))
@@ -506,11 +506,16 @@ class TestLockstep:
     def test_cholesky_failure_in_a_batch_reports_global_stage(self, workers):
         # with m > n a unit segment keeps free control directions, whose
         # cost Hessian its sweep factors; with two workers stage 13 lies in
-        # the pool's run and stage 3 in this process's own
-        broken = with_control_cost(generate(1, 2, 16, seed=3), 13, -1.0)
-        for stage, problem in ((13, broken), (3, with_control_cost(broken, 3, -1.0))):
+        # the pool's run and stage 3 in this process's own.  Stage 15 is
+        # the terminal segment's last, swept in its run's batch; with J=5
+        # that segment holds stages 13 to 15, and its sweep meets 15 first
+        base = generate(1, 2, 16, seed=3)
+        broken = with_control_cost(base, 13, -1.0)
+        for stage, problem, J in ((13, broken, 16), (3, with_control_cost(broken, 3, -1.0), 16),
+                                  (15, with_control_cost(base, 15, -1.0), 16),
+                                  (15, with_control_cost(broken, 15, -1.0), 5)):
             with pytest.raises(CholeskyFailure) as info:
-                parallel.solve_parallel(problem, J=16, workers=workers)
+                parallel.solve_parallel(problem, J=J, workers=workers)
             assert info.value.stage == stage
             assert str(info.value) == f"Cholesky failed at stage {stage}"
             assert not shared_files()

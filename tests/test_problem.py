@@ -102,6 +102,13 @@ class TestValidate:
         for seed in range(20):
             assert validate(generate(3, 2, 7, seed)).ok
 
+    def test_generate_stops_shrinking_at_zero_cross_term(self):
+        # stage 1643 of this seed stays a rounding error short of PSD with
+        # no cross term left to halve
+        problem = generate(40, 10, 1644, 427)
+        assert not problem.stages.Qux[1643].any()
+        assert validate(problem).ok
+
 
 class TestRollout:
     def test_zero_everything_stays_at_origin(self):
