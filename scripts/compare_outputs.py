@@ -8,10 +8,12 @@ and saves every output array.  The script then prints, for each array,
 whether the two trees agree bit for bit (``numpy.array_equal``) and the
 largest absolute difference, and, for each tree, whether the partitioned
 solves and the smoothing passes agree bit for bit across worker counts 1, 2
-and 3 and with two workers but no shared directory.  It exits with code 1
-when any array differs between the trees.  The subprocesses inherit the
-environment, so ``OPENBLAS_NUM_THREADS=1 python scripts/compare_outputs.py
-...`` compares single-threaded BLAS runs.
+and 3, with two workers but no shared directory and with the package's own
+worker count.  It exits with code 1 when any array differs between the
+trees.  The subprocesses inherit the environment, so
+``OPENBLAS_NUM_THREADS=1 python scripts/compare_outputs.py ...`` compares
+single-threaded BLAS runs, and ``PAR_RICCATI_WORKERS`` sets the
+``default`` count.
 
 The inputs, all from ``parlqr.generate(n, m, T, seed)``:
 
@@ -29,10 +31,11 @@ as ``basis_defect`` and ``projector_defect`` arrays with NaN where a
 segment has none (NaN counts as equal to NaN), the partitioned solve and
 ``smooth`` with 2 workers and ``parlqr.parallel.SHARED_DIR`` pointed at a
 missing directory (``w2 unshared``: the calling process takes every run,
-its records in anonymous memory), and ``solve_endpoint_affine`` over the
-first ``min(256, T)`` stages evaluated at the serial solution's state
-there, with its ``mu``, ``Kz``, the initial value's ``Vzz`` and its
-trajectory maps ``Ra, Rz, r1, Sa, Sz, s1``.
+its records in anonymous memory), the partitioned solve and ``smooth``
+with ``workers=None`` (``default``: the count the package chooses), and
+``solve_endpoint_affine`` over the first ``min(256, T)`` stages evaluated
+at the serial solution's state there, with its ``mu``, ``Kz``, the initial
+value's ``Vzz`` and its trajectory maps ``Ra, Rz, r1, Sa, Sz, s1``.
 Last, the bytes of each CSV file of ``demo.run_demo(DemoConfig(T=120),
 directory, workers=1)``.
 """
@@ -59,6 +62,7 @@ INPUTS = [  # (n, m, T, seed, J of the solve, J of the solve that smooth refines
 WORKERS = (1, 2, 3)
 SMOOTH_WORKERS = (1, 2, 3)
 UNSHARED = "w2 unshared"  # two workers, no shared directory
+DEFAULT = "default"  # workers=None
 ENDPOINT_T = 256
 DEMO_T = 120
 
@@ -98,6 +102,11 @@ def dump(path):
                 base = parlqr.solve_parallel(problem, smooth_J, workers=w)
                 _solution_arrays(out, f"{name}/smooth w{w}",
                                  parlqr.smooth(problem, base, workers=w))
+            sol = parlqr.solve_parallel(problem, J)
+            _solution_arrays(out, f"{name}/parallel {DEFAULT}", sol)
+            out[f"{name}/parallel {DEFAULT}/links"] = sol.details.link_points
+            _solution_arrays(out, f"{name}/smooth {DEFAULT}", parlqr.smooth(
+                problem, parlqr.solve_parallel(problem, smooth_J)))
             with tempfile.TemporaryDirectory() as directory, mock.patch.object(
                     parlqr.parallel, "SHARED_DIR", os.path.join(directory, "missing")):
                 sol = parlqr.solve_parallel(problem, J, workers=2)
@@ -162,12 +171,12 @@ def compare(parent_src, change_src):
     for label, arrays in (("parent", parent), ("change", change)):
         for solver, workers in (("parallel", WORKERS), ("smooth", SMOOTH_WORKERS)):
             split = [key for key in arrays if f"/{solver} w1/" in key]
-            others = [f"w{w}" for w in workers[1:]] + [UNSHARED]
+            others = [f"w{w}" for w in workers[1:]] + [UNSHARED, DEFAULT]
             uneven = [key.replace(" w1/", f" {other}/") for key in split for other in others
                       if not np.array_equal(arrays[key],
                                             arrays[key.replace(" w1/", f" {other}/")])]
-            print(f"# {label}: {solver} outputs across workers {workers} and "
-                  f"{UNSHARED}: {len(uneven)} of {len(split) * len(others)} arrays "
+            print(f"# {label}: {solver} outputs across workers {workers}, "
+                  f"{UNSHARED} and {DEFAULT}: {len(uneven)} of {len(split) * len(others)} arrays "
                   "differ from one worker's")
             for key in uneven:
                 print(f"#   {key}")

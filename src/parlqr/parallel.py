@@ -4,14 +4,14 @@ The horizon is split into ``J`` segments.  Every segment except the last is
 an endpoint-constrained problem with zero terminal cost whose boundary
 states are unknown link points; the last segment keeps the terminal cost
 and is solved by the plain Riccati sweep with a symbolic start state.  Each
-segment is solved independently (on a process pool when ``workers > 1``),
-producing its solution as affine maps of its two boundary states.  The link
-points solve the reduced problem over the links: minimize the summed
-segment cost-to-go subject to each segment's feasibility rows, which are
-empty unless the segment cannot reach arbitrary endpoints (segment length
-times control dimension below the state dimension).  Its stationarity rows
-match the terminal-endpoint multiplier of each segment against the
-initial-state multiplier of its right neighbour.  Interleaving each link
+segment is solved independently, producing its solution as affine maps of
+its two boundary states.  The link points solve the reduced problem over
+the links: minimize the summed segment cost-to-go subject to each segment's
+feasibility rows, which are empty unless the segment cannot reach arbitrary
+endpoints (segment length times control dimension below the state
+dimension).  Its stationarity rows match the terminal-endpoint multiplier
+of each segment against the initial-state multiplier of its right
+neighbour.  Interleaving each link
 with the multipliers of the rows that end at it makes the KKT system
 banded, so one banded LU solve serves every partition at a cost linear in
 ``J``; substituting its solution back into the segment maps reconstructs
@@ -25,7 +25,10 @@ within each segment.
 
 The solve runs in three phases over contiguous runs of segments: the
 calling process takes the first run, each worker slot of the pool (a
-single-process pool per slot) one more.  Phases 1 and 3 are functions of a
+single-process pool per slot) one more.  Unless the caller or
+:data:`WORKERS_ENV_VAR` names a worker count, :func:`sized_workers` picks
+one process, which takes every run, or ``min(J, cores)`` from the size of
+the problem (:data:`MIN_RUN_ALGEBRA`).  Phases 1 and 3 are functions of a
 run's stages and its record, the run's gains and results, one stack per
 field, so no process keeps anything between phases.  In phase 1 each
 process sweeps its run, the horizon's last segment included, as one lockstep
@@ -145,20 +148,71 @@ def make_partition(T, J):
     return Partition(J, tuple(splits))
 
 
-def default_workers(J):
-    """Worker-count default: min(J, cores), overridable via environment.
+# A run's stage algebra, its stages times n^2 (n + m), from which a process
+# per run pays.  A process sweeps its run in lockstep, so more processes split
+# each step's batch, not the steps; each one more adds a fixed cost per solve
+# (the shared file, its round trips, the rows the calling process finishes).
+# Measured in-process on a 2-core host (seed 7, J=8, default BLAS, 12-24
+# alternating pairs of workers=1 and workers=2 per shape, ranges over 2-4
+# runs), the two-process median time over the one-process one is about 1
+# where T n^2 (n + m) is about 5e6, whatever n: (n, m, T) = (4, 1, 65536)
+# 0.94, (8, 2, 8192) 0.99, (12, 3, 2048) 1.03, (40, 10, 64) 0.95-1.34,
+# (16, 4, 1024) 0.84-1.11.  Below it one process wins, (4, 2, 1024)
+# 1.30-1.75 and (8, 2, 2048) 1.06-1.20; above it two do, (24, 6, 2048)
+# 0.79-0.88 and (40, 10, 2048) 0.72-0.83.  The constant, 4e6 in all for
+# two processes, sits in that band of parity, where either count costs
+# about the same.  Only p=2 on 2 cores was measured.  The threshold's
+# growth with p, p times the constant, is an unmeasured model (p processes
+# save about 1 - 1/p of the stage work for about p - 1 fixed costs), so on
+# more cores the rule may pick the slower count either way.
+MIN_RUN_ALGEBRA = 2e6
+
+
+def sized_workers(n, m, T, J, cores):
+    """The default worker count of ``J`` segments over ``T`` stages with
+    ``n`` states and ``m`` controls on ``cores`` cores: ``min(J, cores)``
+    where each process's run carries at least :data:`MIN_RUN_ALGEBRA` of
+    stage algebra, else 1."""
+    workers = max(1, min(J, cores))
+    return workers if T * n * n * (n + m) >= workers * MIN_RUN_ALGEBRA else 1
+
+
+def _worker_count(workers, J, shape=None):
+    """The worker count and why: ``"explicit"`` for a given ``workers``,
+    ``"environment"`` where :data:`WORKERS_ENV_VAR` is set, else ``"rule"``:
+    :func:`sized_workers` of the problem's ``shape`` ``(n, m, T)`` or,
+    without one, ``min(J, cores)``.
 
     Raises :class:`WorkerConfigError` when the environment variable is set
-    to something other than an integer.
+    to something other than a positive integer.
     """
+    if workers is not None:
+        return max(1, workers), "explicit"
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
+            count = 0
+        if count < 1:
             raise WorkerConfigError(
-                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    return max(1, min(J, os.cpu_count() or 1))
+                f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}")
+        return count, "environment"
+    cores = os.cpu_count() or 1
+    if shape is None:
+        return max(1, min(J, cores)), "rule"
+    return sized_workers(*shape, J, cores), "rule"
+
+
+def default_workers(J):
+    """Worker-count default for ``J`` segments of a problem of any size:
+    :data:`WORKERS_ENV_VAR` where set, else min(J, cores).  The solvers'
+    default also weighs the problem's size (:func:`sized_workers`).
+
+    Raises :class:`WorkerConfigError` when the environment variable is set
+    to something other than a positive integer.
+    """
+    return _worker_count(None, J)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +723,7 @@ class ParallelDetails:
     segment_diagnostics: tuple = None
     smooth_deviation: float = None
     workers: int = 1     # processes that swept the segments
+    workers_reason: str = None  # "explicit", "environment" or "rule" (sized_workers)
     batches: tuple = ()  # (first, last) segments of each run
     shared_bytes: int = 0  # stage data written to the pool's shared file
     timings: dict = None   # seconds in publish, local_sweep, wait, links, reconstruct, residual
@@ -705,7 +760,7 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
         return serial.solve(problem)
     if partition is None:
         partition = make_partition(problem.T, J)
-    workers = default_workers(J) if workers is None else max(1, workers)
+    workers, reason = _worker_count(workers, J, (problem.n, problem.m, problem.T))
     splits, terminal = partition.split_times, problem.terminal
     x_init, stages = problem.x_init, problem.stages
     with _swept(problem, splits, workers, J - 1, (terminal.Qxx[None], terminal.qx1[None]),
@@ -773,6 +828,7 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
             degenerate=any(nu.size for nu in nus),
             segment_diagnostics=seg["diagnostics"],
             workers=used,
+            workers_reason=reason,
             batches=batches,
             shared_bytes=shared,
             timings=timings,
@@ -812,16 +868,16 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
                 f"({feas[0].shape[0]} feasibility rows); smoothing undefined "
                 "for this partition")
     links = details.link_points
-    workers = default_workers(J - 1) if workers is None else max(1, workers)
     vf = details.segment_values0
     terminals = [TerminalCost(Vxx, vx1 + Vzx.T @ z)
                  for (Vxx, Vzx, _, vx1, _), z in zip(vf[1:-1], links[1:])]
     terminals.append(TerminalCost(*vf[-1]))
     splits = partition.split_times[:-1]
+    workers, reason = _worker_count(workers, J - 1, (problem.n, problem.m, splits[-1]))
     policies = list(result.policies)
     with _swept(problem, splits, workers, 0,
                 (np.stack([t.Qxx for t in terminals]), np.stack([t.qx1 for t in terminals])),
-                tolerances, False) as (*_, record, _):
+                tolerances, False) as (_, batches, used, shared, timings, record, _):
         policies[:splits[-1]] = _feedback_policies(record["Kx"].copy(), record["k1"].copy())
     states, controls = rollout(problem, policies, problem.x_init)
     deviation = max(float(np.abs(states - result.states).max()),
@@ -833,7 +889,9 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
         policies=tuple(policies),
         objective=evaluate_objective(problem, states, controls),
         kkt_residual_inf=0.0,
-        details=dataclasses.replace(details, smooth_deviation=deviation),
+        details=dataclasses.replace(
+            details, smooth_deviation=deviation, workers=used, workers_reason=reason,
+            batches=batches, shared_bytes=shared, timings=timings),
     )
     return dataclasses.replace(
         smoothed, kkt_residual_inf=kkt_residual(problem, smoothed))

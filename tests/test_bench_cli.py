@@ -125,6 +125,15 @@ class TestSolveCommand:
         assert code == 3
         assert parallel.WORKERS_ENV_VAR in capsys.readouterr().err
 
+    def test_non_positive_worker_env_exits_three(self, tmp_path, monkeypatch,
+                                                 capsys):
+        src = self._problem_file(tmp_path)
+        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "0")
+        code = cli.main(["solve", "--problem", str(src), "--solver", "parallel",
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        assert "'0'" in capsys.readouterr().err
+
     def test_parallel_and_serial_objectives_agree(self, tmp_path):
         src = self._problem_file(tmp_path, seed=9)
         out_s = tmp_path / "s.json"
@@ -307,6 +316,13 @@ class TestWorkerDefaults:
             parallel.default_workers(8)
         assert isinstance(info.value, SolverError)
         assert "'abc'" in str(info.value)
+
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_non_positive_env_is_a_solver_error(self, monkeypatch, env):
+        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, env)
+        with pytest.raises(WorkerConfigError) as info:
+            parallel.default_workers(8)
+        assert repr(env) in str(info.value)
 
     def test_default_capped_by_cores_and_segments(self, monkeypatch):
         monkeypatch.delenv(parallel.WORKERS_ENV_VAR, raising=False)

@@ -311,12 +311,15 @@ class TestLinkDiagnostics:
             assert np.abs(a.lambdas - b.lambdas).max() <= 1e-12
 
 
-    def test_results_bit_identical_across_worker_counts(self):
+    def test_results_bit_identical_across_worker_counts(self, monkeypatch):
+        # None: the default count, on two cores as on the benchmark's host
+        monkeypatch.delenv(parallel.WORKERS_ENV_VAR, raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
         problem = generate(5, 2, 24, seed=15)
         ragged = Partition(5, (0, 1, 7, 9, 10, 24))
         for part in (make_partition(24, 8), make_partition(24, 24), ragged):
             ref = parallel.solve_parallel(problem, J=part.J, workers=1, partition=part)
-            for w in (2, 3):
+            for w in (2, 3, None):
                 sol = parallel.solve_parallel(problem, J=part.J, workers=w, partition=part)
                 for field in ("states", "controls", "lambdas", "objective",
                               "kkt_residual_inf"):
@@ -332,7 +335,7 @@ class TestLinkDiagnostics:
                     problem, sol.states, sol.controls)
         ref = parallel.smooth(problem, parallel.solve_parallel(problem, J=8, workers=1),
                               workers=1)
-        for w in (2, 3):
+        for w in (2, 3, None):
             sol = parallel.smooth(
                 problem, parallel.solve_parallel(problem, J=8, workers=w), workers=w)
             assert np.array_equal(sol.states, ref.states)
@@ -549,6 +552,64 @@ class TestPoolSize:
         # this process sweeps one of the runs itself, each slot one other
         assert slots == [list(range(7)), list(range(7)), list(range(6))]
         assert kkt_residual(problem, sol) <= 1e-8 * tolerance_scale(problem)
+
+
+class TestDefaultWorkers:
+    @pytest.mark.parametrize("n, m, T, J, on_two, on_eight", [
+        (4, 2, 1024, 8, 1, 1),      # narrow
+        (4, 1, 256, 256, 1, 1),     # degenerate
+        (40, 10, 2048, 8, 2, 8),    # wide
+        (40, 10, 64, 8, 2, 1),      # eight runs of 8 stages each are too short
+    ])
+    def test_rule(self, n, m, T, J, on_two, on_eight):
+        assert parallel.sized_workers(n, m, T, J, 2) == on_two
+        assert parallel.sized_workers(n, m, T, J, 8) == on_eight
+        assert parallel.sized_workers(n, m, T, J, 1) == 1
+        assert parallel.sized_workers(n, m, T, 1, 8) == 1
+
+    def test_rule_on_the_stages_smooth_sweeps(self):
+        # smooth sweeps J - 1 segments, all the stages but the last segment's
+        assert parallel.sized_workers(40, 10, 2048 - 256, 7, 2) == 2
+        assert parallel.sized_workers(4, 2, 1024 - 128, 7, 2) == 1
+
+    def test_explicit_and_environment_counts_keep_their_meaning(self, monkeypatch):
+        problem = generate(4, 2, 64, seed=4)
+        sol = parallel.solve_parallel(problem, J=8, workers=2)
+        assert (sol.details.workers, sol.details.workers_reason) == (2, "explicit")
+        assert sol.details.shared_bytes > 0
+        smoothed = parallel.smooth(problem, sol, workers=2)
+        assert (smoothed.details.workers, smoothed.details.workers_reason) == (2, "explicit")
+        monkeypatch.setenv(parallel.WORKERS_ENV_VAR, "2")
+        sol = parallel.solve_parallel(problem, J=8)
+        assert (sol.details.workers, sol.details.workers_reason) == (2, "environment")
+        smoothed = parallel.smooth(problem, sol)
+        assert (smoothed.details.workers, smoothed.details.workers_reason) == (
+            2, "environment")
+
+    def test_default_solve_of_a_small_problem_starts_no_process(self, monkeypatch):
+        monkeypatch.delenv(parallel.WORKERS_ENV_VAR, raising=False)
+        parallel.shutdown_pools()
+        for child in multiprocessing.active_children():
+            child.join(30)
+        problem = generate(4, 2, 64, seed=4)
+        sol = parallel.solve_parallel(problem, J=8)
+        smoothed = parallel.smooth(problem, sol)
+        assert not multiprocessing.active_children()
+        for details in (sol.details, smoothed.details):
+            assert (details.workers, details.workers_reason, details.shared_bytes) == (
+                1, "rule", 0)
+
+    def test_smooth_details_describe_its_own_sweep(self):
+        problem = generate(3, 2, 64, seed=4)
+        base = parallel.solve_parallel(problem, J=8, workers=1)
+        smoothed = parallel.smooth(problem, base, workers=2)
+        details = smoothed.details
+        assert (details.workers, details.batches) == (2, ((0, 3), (4, 6)))
+        # the pool's run, segments 4 to 6, is stages 32 to 55
+        per_stage = sum(getattr(problem.stages, f)[0].nbytes for f in problem.stages.FIELDS)
+        assert details.shared_bytes == 24 * per_stage
+        assert set(details.timings) == {"publish", "local_sweep", "wait"}
+        assert base.details.workers == 1  # the refined solve's details stay its own
 
 
 class TestSharedStages:
