@@ -8,9 +8,10 @@ and saves every output array.  The script then prints, for each array,
 whether the two trees agree bit for bit (``numpy.array_equal``) and the
 largest absolute difference, and, for each tree, whether the partitioned
 solves and the smoothing passes agree bit for bit across worker counts 1, 2
-and 3, with two workers but no shared directory and with the package's own
-worker count.  It exits with code 1 when any array differs between the
-trees.  The subprocesses inherit the environment, so
+and 3, with two workers but no shared memory file, with two workers right
+after a larger solve and with the package's own worker count.  It exits
+with code 1 when any array differs between the trees.  The subprocesses
+inherit the environment, so
 ``OPENBLAS_NUM_THREADS=1 python scripts/compare_outputs.py ...`` compares
 single-threaded BLAS runs, and ``PAR_RICCATI_WORKERS`` sets the
 ``default`` count.
@@ -29,10 +30,15 @@ KKT residual (the last two as 0-d arrays) of ``solve_serial``, of
 points, the one-worker solve's ``segment_diagnostics`` (it collects them)
 as ``basis_defect`` and ``projector_defect`` arrays with NaN where a
 segment has none (NaN counts as equal to NaN), the partitioned solve and
-``smooth`` with 2 workers and ``parlqr.parallel.SHARED_DIR`` pointed at a
-missing directory (``w2 unshared``: the calling process takes every run,
-its records in anonymous memory), the partitioned solve and ``smooth``
-with ``workers=None`` (``default``: the count the package chooses), and
+``smooth`` with 2 workers where the pools' shared memory file cannot be
+made (``w2 unshared``: the pools are shut down and ``os.memfd_create``
+raises, so the calling process takes every run, its records in anonymous
+memory), the partitioned solve and ``smooth`` with 2 workers again, the
+solve and the solve that ``smooth`` refines each right after a 2-worker
+solve of ``(40, 10, 2304, 7)`` with J=8, whose stages outgrow every
+input's (``reuse``: the memory file of the earlier solves serves the next
+one), the partitioned solve and ``smooth`` with
+``workers=None`` (``default``: the count the package chooses), and
 ``solve_endpoint_affine`` over the first ``min(256, T)`` stages evaluated
 at the serial solution's state there, with its ``mu``, ``Kz``, the initial
 value's ``Vzz`` and its trajectory maps ``Ra, Rz, r1, Sa, Sz, s1``.
@@ -61,7 +67,9 @@ INPUTS = [  # (n, m, T, seed, J of the solve, J of the solve that smooth refines
 ]
 WORKERS = (1, 2, 3)
 SMOOTH_WORKERS = (1, 2, 3)
-UNSHARED = "w2 unshared"  # two workers, no shared directory
+UNSHARED = "w2 unshared"  # two workers, no shared memory file
+REUSE = "reuse"  # two workers, right after a larger solve
+LARGER = (40, 10, 2304, 7, 8)  # (n, m, T, seed, J) of that solve
 DEFAULT = "default"  # workers=None
 ENDPOINT_T = 256
 DEMO_T = 120
@@ -83,6 +91,7 @@ def dump(path):
     from parlqr import demo
 
     out = {}
+    larger = parlqr.generate(*LARGER[:4])
     try:
         for n, m, T, seed, J, smooth_J in INPUTS:
             problem = parlqr.generate(n, m, T, seed)
@@ -107,14 +116,22 @@ def dump(path):
             out[f"{name}/parallel {DEFAULT}/links"] = sol.details.link_points
             _solution_arrays(out, f"{name}/smooth {DEFAULT}", parlqr.smooth(
                 problem, parlqr.solve_parallel(problem, smooth_J)))
-            with tempfile.TemporaryDirectory() as directory, mock.patch.object(
-                    parlqr.parallel, "SHARED_DIR", os.path.join(directory, "missing")):
+            parlqr.parallel.shutdown_pools()
+            with mock.patch.object(os, "memfd_create", side_effect=OSError("no memory file")):
                 sol = parlqr.solve_parallel(problem, J, workers=2)
                 _solution_arrays(out, f"{name}/parallel {UNSHARED}", sol)
                 out[f"{name}/parallel {UNSHARED}/links"] = sol.details.link_points
                 base = parlqr.solve_parallel(problem, smooth_J, workers=2)
                 _solution_arrays(out, f"{name}/smooth {UNSHARED}",
                                  parlqr.smooth(problem, base, workers=2))
+            parlqr.solve_parallel(larger, LARGER[4], workers=2)
+            sol = parlqr.solve_parallel(problem, J, workers=2)
+            _solution_arrays(out, f"{name}/parallel {REUSE}", sol)
+            out[f"{name}/parallel {REUSE}/links"] = sol.details.link_points
+            parlqr.solve_parallel(larger, LARGER[4], workers=2)
+            base = parlqr.solve_parallel(problem, smooth_J, workers=2)
+            _solution_arrays(out, f"{name}/smooth {REUSE}",
+                             parlqr.smooth(problem, base, workers=2))
             k = min(ENDPOINT_T, T)
             head = parlqr.LqrProblem(problem.stages[:k], problem.terminal,
                                      problem.x_init)
@@ -171,13 +188,13 @@ def compare(parent_src, change_src):
     for label, arrays in (("parent", parent), ("change", change)):
         for solver, workers in (("parallel", WORKERS), ("smooth", SMOOTH_WORKERS)):
             split = [key for key in arrays if f"/{solver} w1/" in key]
-            others = [f"w{w}" for w in workers[1:]] + [UNSHARED, DEFAULT]
+            others = [f"w{w}" for w in workers[1:]] + [UNSHARED, REUSE, DEFAULT]
             uneven = [key.replace(" w1/", f" {other}/") for key in split for other in others
                       if not np.array_equal(arrays[key],
                                             arrays[key.replace(" w1/", f" {other}/")])]
             print(f"# {label}: {solver} outputs across workers {workers}, "
-                  f"{UNSHARED} and {DEFAULT}: {len(uneven)} of {len(split) * len(others)} arrays "
-                  "differ from one worker's")
+                  f"{UNSHARED}, {REUSE} and {DEFAULT}: {len(uneven)} of "
+                  f"{len(split) * len(others)} arrays differ from one worker's")
             for key in uneven:
                 print(f"#   {key}")
     return 1 if differ else 0

@@ -47,15 +47,15 @@ or the worker count.
 
 Each solve keeps every run's record in one buffer: one stack per record
 field over the whole horizon, a run's record being its rows, followed by
-room for the stage stacks.  With a pool the buffer is one file in a
-memory-backed directory (:data:`SHARED_DIR`), into which the calling
-process writes the pool's stages; a task names the file, the dimensions
-and its run's stages, from which both sides derive the byte layout, and
-the worker maps the file.  Without a pool, or where the file cannot be
-created, the buffer is anonymous memory and the calling process takes
-every run.  Phase 1 is a context that removes the file's name when it
-ends: after phase 3, after :func:`smooth` has read its gains, or when the
-solve fails.
+room for the stage stacks.  With a pool the buffer is the calling process's
+one memory file, which has no name and which every pool process inherits:
+it is made before the first pool forks and closed with the pools.  A solve
+grows it where it needs room, writes the pool's stages into it and holds it
+under a lock for phase 1, a context that lasts through phase 3; a task
+names the dimensions and its run's stages, from which both sides derive the
+byte layout.  A solve writes every record row it reads, so no solve sees
+another's.  Without a pool, or where the file cannot be made, the buffer is
+anonymous memory and the calling process takes every run.
 """
 
 from __future__ import annotations
@@ -66,13 +66,12 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import itertools
 import math
 import mmap
 import multiprocessing
 import os
+import threading
 import time
-import traceback
 
 import numpy as np
 import scipy.linalg
@@ -222,13 +221,14 @@ def default_workers(J):
 # meets one process per phase
 _POOLS = {}
 
-# Directory of the per-solve stage files (a memory-backed filesystem) and
-# the counter that names them within this process
-SHARED_DIR = "/dev/shm"
-_FILE_NUMBERS = itertools.count()
+# The descriptor of the memory file that pooled solves share with the pool
+# processes, which inherit it (None until the first), and the lock that
+# gives it to one solve at a time
+_ARENA = None
+_ARENA_LOCK = threading.Lock()
 
 # The fields of a run's record, one stack each: the gains phase 1 writes
-# (``Kz`` zero past the endpoint segments) and what phase 3 writes, ``k1``
+# (``Kz`` read only over the endpoint segments) and what phase 3 writes, ``k1``
 # again with ``Kz z`` folded in; states and multipliers have one row more,
 # the horizon's end where the run ends it
 RECORD = ("Kx", "k1", "Kz", "states", "controls", "lambdas", "x_costs", "u_costs")
@@ -244,13 +244,30 @@ def _get_pool(slot):
 
 
 def shutdown_pools():
-    """Shut down any process pools created by :func:`solve_parallel`."""
+    """Shut down any process pools created by :func:`solve_parallel` and
+    close the memory file they share."""
+    global _ARENA
     while _POOLS:
         _, pool = _POOLS.popitem()
         pool.shutdown(wait=False, cancel_futures=True)
+    if _ARENA is not None:
+        os.close(_ARENA)
+        _ARENA = None
 
 
 atexit.register(shutdown_pools)
+
+
+def _arena():
+    """This process's memory file, made where there is none; no pool
+    process may be running then, as it would lack the descriptor.  Raises
+    :class:`OSError` where the file cannot be made."""
+    global _ARENA
+    if _ARENA is None:
+        if not hasattr(os, "memfd_create"):
+            raise OSError("no memory files on this system")
+        _ARENA = os.memfd_create("parlqr")
+    return _ARENA
 
 
 def _extent(name, lo, hi):
@@ -289,35 +306,28 @@ def _views(buffer, layout, names, lo, hi):
     return views
 
 
-def _publish(stages, lo, path, layout, size):
-    """Create a file of ``size`` bytes at ``path``, write ``stages``, the
-    horizon's from stage ``lo`` on, at their :func:`_layout` rows and
-    reserve the record part.  Returns the stage bytes written and a
-    read-write mapping of the file.
+def _publish(stages, lo, fd, layout, size):
+    """Write ``stages``, the horizon's from stage ``lo`` on, at their
+    :func:`_layout` rows of the memory file ``fd``, grown to ``size`` bytes
+    where it is smaller, and reserve the record part.  Returns the stage
+    bytes written and a read-write mapping of the file's first ``size``
+    bytes.
 
     The stages go out through ``os.pwrite``, so this process only ever
-    touches the record's pages, and the stage rows before ``lo`` stay a
-    hole.  The file is removed again if writing fails.
+    touches the record's pages; no run reads the stage rows before ``lo``.
     """
-    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
-    try:
+    if os.fstat(fd).st_size < size:
         os.ftruncate(fd, size)
-        for field in StageStack.FIELDS:
-            data = memoryview(np.ascontiguousarray(getattr(stages, field), float)).cast("B")
-            offset, shape = layout[field]
-            at = offset + lo * 8 * math.prod(shape[1:])
-            while data:
-                written = os.pwrite(fd, data, at)
-                data, at = data[written:], at + written
-        # no room shows here, not in a worker; the stages start where the record ends
-        os.posix_fallocate(fd, 0, layout[StageStack.FIELDS[0]][0])
-        mapped = mmap.mmap(fd, size)
-    except BaseException:
-        os.unlink(path)
-        raise
-    finally:
-        os.close(fd)
-    return sum(getattr(stages, f).nbytes for f in StageStack.FIELDS), mapped
+    for field in StageStack.FIELDS:
+        data = memoryview(np.ascontiguousarray(getattr(stages, field), float)).cast("B")
+        offset, shape = layout[field]
+        at = offset + lo * 8 * math.prod(shape[1:])
+        while data:
+            written = os.pwrite(fd, data, at)
+            data, at = data[written:], at + written
+    # no room shows here, not in a worker; the stages start where the record ends
+    os.posix_fallocate(fd, 0, layout[StageStack.FIELDS[0]][0])
+    return sum(getattr(stages, f).nbytes for f in StageStack.FIELDS), mmap.mmap(fd, size)
 
 
 def _run_tasks(local, remote):
@@ -385,28 +395,18 @@ def _sweep_run(stages, record, lo, splits, terminal, tolerances, collect):
 
 
 def _on_shared(fn, task):
-    """``fn(stages, record, lo, *args)`` of a pool run, over its views in a
-    :func:`_publish` file.
+    """``fn(stages, record, lo, *args)`` of a pool run, over its views in
+    the memory file this process inherited (:func:`_publish`).
 
-    ``task`` is ``((path, n, m, k, end), lo, hi, *args)``: the file is laid
-    out over stages ``[0, end)`` with ``Kz`` ``k`` columns wide, and this
-    run is stages ``[lo, hi)``.
+    ``task`` is ``((n, m, k, end), lo, hi, *args)``: the file is laid out
+    over stages ``[0, end)`` with ``Kz`` ``k`` columns wide, and this run is
+    stages ``[lo, hi)``.
     """
-    (path, n, m, k, end), lo, hi, *args = task
-    with open(path, "r+b") as file:
-        mapped = mmap.mmap(file.fileno(), 0)
-    layout, _ = _layout(n, m, k, end)
-    record = _views(mapped, layout, StageStack.FIELDS + RECORD, lo, hi)
-    del mapped
+    (n, m, k, end), lo, hi, *args = task
+    layout, size = _layout(n, m, k, end)
+    record = _views(mmap.mmap(_ARENA, size), layout, StageStack.FIELDS + RECORD, lo, hi)
     stages = StageStack(*(record.pop(field) for field in StageStack.FIELDS))
-    try:
-        return fn(stages, record, lo, *args)
-    except BaseException as exc:
-        # the frames of the error's traceback hold views of the mapping
-        while exc is not None:
-            traceback.clear_frames(exc.__traceback__)
-            exc = exc.__cause__ or exc.__context__
-        raise
+    return fn(stages, record, lo, *args)
 
 
 def _sweep_shared(task):
@@ -443,16 +443,16 @@ def _swept(problem, splits, workers, constrained, terminal, tolerances, collect)
     worker slot one more, and sweeps it as one lockstep batch
     (:func:`_sweep_run`) into the run's record, its rows of the
     :func:`_layout` buffer over stages ``[0, splits[-1])``.  With a pool the
-    buffer is one file in :data:`SHARED_DIR` that also holds the pool's
-    stages; else, or if the file cannot be created, it is anonymous memory
-    and this process sweeps every run.  Yields the link blocks stacked in
-    segment order, the runs' ``(first, last)`` segments, the processes
-    used, the bytes shared, the ``publish``, ``local_sweep`` and ``wait``
-    spans in seconds, the record's stacks over the whole horizon (views of
-    the buffer) and the runs for :func:`_dispatch`: per run its ``(first,
+    buffer is this process's memory file (:func:`_arena`), which the
+    context holds under its lock and which also holds the pool's stages;
+    else, or if the file cannot be made, it is anonymous memory and this
+    process sweeps every run.  Yields the link blocks stacked in segment
+    order, the runs' ``(first, last)`` segments, the processes used, the
+    bytes shared, the ``publish``, ``local_sweep`` and ``wait`` spans in
+    seconds, the record's stacks over the whole horizon (views of the
+    buffer) and the runs for :func:`_dispatch`: per run its ``(first,
     last)`` segments and its stages ``(lo, hi)``, this process's runs'
-    records and the file's header (else None).  The file is removed when
-    the context ends.
+    records and the file's header (else None).
     """
     J, n, m = len(splits) - 1, problem.n, problem.m
     batches = tuple((int(run[0]), int(run[-1]))
@@ -467,19 +467,18 @@ def _swept(problem, splits, workers, constrained, terminal, tolerances, collect)
     k, end = n if constrained else 0, splits[-1]
     layout, size = _layout(n, m, k, end)
     shared, header = 0, None
-    tic = time.perf_counter()
-    if len(runs) > 1:
-        lo, path = tasks[1][0], os.path.join(
-            SHARED_DIR, f"parlqr-{os.getpid()}-{next(_FILE_NUMBERS)}")
-        try:
-            shared, buffer = _publish(problem.stages[lo:end], lo, path, layout, size)
-            header = path, n, m, k, end
-        except OSError:  # no shared directory or no room: sweep here
-            pass
-    if header is None:
-        buffer = mmap.mmap(-1, size)
-    timings = {"publish": time.perf_counter() - tic}
-    try:
+    with _ARENA_LOCK if len(runs) > 1 else contextlib.nullcontext():
+        tic = time.perf_counter()
+        if len(runs) > 1:
+            lo = tasks[1][0]
+            try:
+                shared, buffer = _publish(problem.stages[lo:end], lo, _arena(), layout, size)
+                header = n, m, k, end
+            except OSError:  # no memory file or no room: sweep here
+                pass
+        if header is None:
+            buffer = mmap.mmap(-1, size)
+        timings = {"publish": time.perf_counter() - tic}
         local = 1 if header else len(tasks)
         held = (runs, [_views(buffer, layout, RECORD, lo, hi)
                        for lo, hi, *_ in tasks[:local]], header)
@@ -487,9 +486,6 @@ def _swept(problem, splits, workers, constrained, terminal, tolerances, collect)
             problem.stages, held, _sweep_run, _sweep_shared, tasks)
         yield (_merge(results), batches, len(tasks) if header else 1,
                shared, timings, _views(buffer, layout, RECORD, 0, end), held)
-    finally:
-        if header is not None:
-            os.unlink(header[0])
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +721,7 @@ class ParallelDetails:
     workers: int = 1     # processes that swept the segments
     workers_reason: str = None  # "explicit", "environment" or "rule" (sized_workers)
     batches: tuple = ()  # (first, last) segments of each run
-    shared_bytes: int = 0  # stage data written to the pool's shared file
+    shared_bytes: int = 0  # stage data written to the pool's shared memory file
     timings: dict = None   # seconds in publish, local_sweep, wait, links, reconstruct, residual
 
 
@@ -790,7 +786,7 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
         for at, _, Hz, _ in _by_rows(seg["feasibility"]):
             mu_left[at] = mu_left[at] - np.matvec(Hz.mT, np.stack([nus[j] for j in at]))
         residual = _finish(problem, splits, held, starts, links, -mu_left)
-        # copies: a view would keep the buffer alive, a file's stage pages included
+        # copies: the next pooled solve rewrites the file, and a view would keep it mapped
         Kx, k1, states, controls, lambdas, x_costs, u_costs = (
             record[name].copy() for name in RECORD if name != "Kz")
     lambda_right = lambdas[list(splits[1:-1])]  # each segment's first multiplier

@@ -1,9 +1,15 @@
 import concurrent.futures
+import contextlib
+import gc
 import glob
 import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -52,9 +58,39 @@ def sweep(problem, part, workers=1, collect=False):
     return seg, batches, used
 
 
-def shared_files():
-    """Stage files of this process still in the shared directory."""
-    return glob.glob(os.path.join(parallel.SHARED_DIR, f"parlqr-{os.getpid()}-*"))
+def shared_files(pid=None):
+    """Stage files of process ``pid`` (this one by default) under /dev/shm,
+    where solves once named them."""
+    return glob.glob(f"/dev/shm/parlqr-{pid or os.getpid()}-*")
+
+
+def held_memory_files():
+    """This process's descriptors and mappings of the pooled solves' memory
+    file, once its garbage is collected; none where /proc does not show
+    them."""
+    gc.collect()
+    if not os.path.isdir("/proc/self/fd"):
+        return []
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the listing's own descriptor is gone
+            held.append(os.readlink(f"/proc/self/fd/{fd}"))
+    with open("/proc/self/maps") as maps:
+        held += maps.read().splitlines()
+    return [line for line in held if "memfd:parlqr" in line]
+
+
+def lets_go_of_memory_files(timeout=10.0):
+    """Whether this process holds no memory file within ``timeout`` seconds.
+
+    A pool dropped for a dead process hands its error, and with it the
+    failed solve's frames, to the threads that ran the pool, which let go
+    of them as they end.
+    """
+    deadline = time.monotonic() + timeout
+    while held_memory_files() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not held_memory_files()
 
 
 def kill_own_process(task):
@@ -486,10 +522,16 @@ class TestLockstep:
             assert abs(a - b) <= 32
             assert b < short.details.shared_bytes / 10
 
-    def test_unshareable_stages_are_swept_here(self, monkeypatch, tmp_path):
+    def test_unshareable_stages_are_swept_here(self, monkeypatch):
         problem = generate(3, 2, 64, seed=3)
         want = parallel.solve_parallel(problem, J=8, workers=1)
-        monkeypatch.setattr(parallel, "SHARED_DIR", str(tmp_path / "missing"))
+        # no memory file, and none left from an earlier solve
+        parallel.shutdown_pools()
+
+        def no_memory_file(name, flags=0):
+            raise OSError("no memory files")
+
+        monkeypatch.setattr(os, "memfd_create", no_memory_file)
         got = parallel.solve_parallel(problem, J=8, workers=2)
         assert (got.details.workers, got.details.shared_bytes) == (1, 0)
         assert got.details.batches == ((0, 3), (4, 7))
@@ -644,6 +686,7 @@ class TestSharedStages:
         with pytest.raises(WorkerFailure):
             parallel.solve_parallel(problem, J=8, workers=2)
         assert not shared_files()
+        assert lets_go_of_memory_files()  # closed with the pools
         got = parallel.solve_parallel(problem, J=8, workers=2)
         assert got.details.workers == 2
         assert_same_solution(got, want)
@@ -659,6 +702,7 @@ class TestSharedStages:
                 parallel.solve_parallel(problem, J=8, workers=2)
         assert not parallel._POOLS
         assert not shared_files()
+        assert lets_go_of_memory_files()
         got = parallel.solve_parallel(problem, J=8, workers=2)
         assert got.details.workers == 2
         assert_same_solution(got, want)
@@ -693,6 +737,103 @@ class TestSharedStages:
         parallel.shutdown_pools()
         assert not parallel._POOLS
         assert not shared_files()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+    def test_shutdown_pools_releases_the_memory_file(self):
+        problem = generate(3, 2, 64, seed=4)
+        parallel.smooth(problem, parallel.solve_parallel(problem, J=8, workers=3), workers=3)
+        # between solves the file stays open for the pools, but unmapped
+        held = held_memory_files()
+        assert len(held) == 1 and held[0].startswith("/memfd:parlqr")
+        parallel.shutdown_pools()
+        for child in multiprocessing.active_children():
+            child.join(30)
+        assert not held_memory_files()
+
+    def test_killed_caller_leaves_no_file(self):
+        # the caller dies between publishing the stages and asking the pool
+        script = "\n".join([
+            "import os, signal",
+            "from parlqr import generate, parallel",
+            "parallel._run_tasks = lambda *_: os.kill(os.getpid(), signal.SIGKILL)",
+            "parallel.solve_parallel(generate(3, 2, 64, seed=4), J=8, workers=2)"])
+        src = os.path.dirname(os.path.dirname(parallel.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen([sys.executable, "-c", script], env=env)
+        assert child.wait(60) == -signal.SIGKILL
+        assert not shared_files(child.pid)
+
+
+def assert_pooled_as_one_process(problem, J=8):
+    """A two-worker solve and its smoothing pass bit-identical to one
+    process's."""
+    want = parallel.solve_parallel(problem, J=J, workers=1)
+    got = parallel.solve_parallel(problem, J=J, workers=2)
+    assert got.details.workers == 2
+    for a, b in ((got, want), (parallel.smooth(problem, got, workers=2),
+                               parallel.smooth(problem, want, workers=1))):
+        assert_same_solution(a, b)
+        for name in ("Kx", "k1"):
+            assert np.array_equal(np.stack([getattr(p, name) for p in a.policies]),
+                                  np.stack([getattr(p, name) for p in b.policies]))
+        assert (a.objective, a.kkt_residual_inf) == (b.objective, b.kkt_residual_inf)
+
+
+def arena_size():
+    return os.fstat(parallel._ARENA).st_size
+
+
+class TestArenaReuse:
+    """Pooled solves share one memory file, which must never serve one
+    solve's rows to another."""
+
+    def test_solve_that_grows_the_file(self):
+        parallel.shutdown_pools()
+        assert_pooled_as_one_process(generate(3, 2, 64, seed=4))
+        small = arena_size()
+        assert_pooled_as_one_process(generate(5, 3, 256, seed=5))
+        assert arena_size() > small
+
+    def test_smaller_solve_after_a_larger_one(self):
+        parallel.shutdown_pools()
+        assert_pooled_as_one_process(generate(5, 3, 256, seed=5))
+        large = arena_size()
+        assert_pooled_as_one_process(generate(3, 2, 64, seed=4))
+        assert arena_size() == large
+
+    def test_solve_after_a_failure_in_the_pool(self):
+        # stage 13 lies in the pool's run
+        base = generate(1, 2, 16, seed=3)
+        with pytest.raises(CholeskyFailure) as info:
+            parallel.solve_parallel(with_control_cost(base, 13, -1.0), J=16, workers=2)
+        assert info.value.stage == 13
+        assert_pooled_as_one_process(base, J=16)
+
+    def test_solve_after_shutdown_between_pooled_solves(self):
+        assert_pooled_as_one_process(generate(5, 3, 256, seed=5))
+        parallel.shutdown_pools()
+        assert parallel._ARENA is None
+        assert_pooled_as_one_process(generate(3, 2, 64, seed=4))
+
+    def test_concurrent_pooled_solves_take_the_file_in_turn(self):
+        problems = [generate(3, 2, 64, seed=4), generate(5, 3, 256, seed=5)]
+        want = [parallel.solve_parallel(p, J=8, workers=1) for p in problems]
+        # the pools start before the threads, so no process forks beside them
+        parallel.solve_parallel(problems[0], J=8, workers=2)
+        start = threading.Barrier(len(problems))
+
+        def solve(problem):
+            start.wait()
+            return [parallel.solve_parallel(problem, J=8, workers=2) for _ in range(10)]
+
+        with concurrent.futures.ThreadPoolExecutor(len(problems)) as threads:
+            got = list(threads.map(solve, problems))
+        for sols, one in zip(got, want):
+            for sol in sols:
+                assert sol.details.workers == 2
+                assert_same_solution(sol, one)
+                assert sol.objective == one.objective
 
 
 class TestSegmentFailures:
