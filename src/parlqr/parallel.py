@@ -330,19 +330,27 @@ def _publish(stages, lo, fd, layout, size):
     return sum(getattr(stages, f).nbytes for f in StageStack.FIELDS), mmap.mmap(fd, size)
 
 
-def _run_tasks(local, remote):
-    """Results of the ``local`` calls ``(function, args)``, made here, then of
-    the ``remote`` ones, ``(function, task)``, the ``i``-th in worker slot
-    ``i``; with the seconds spent on the local calls and waiting for the rest.
+def _run_tasks(stages, held, fn, tasks):
+    """One phase over the runs a :func:`_swept` ``held``, given per run
+    ``(lo, hi, *args)``: ``fn(stages[lo:hi], record, lo, *args)`` here for
+    this process's runs, over their records in the buffer, and
+    ``_on_shared(fn, (header, lo, hi, *args))`` of the ``i``-th other run in
+    worker slot ``i``.  Returns the results in run order, with the seconds
+    spent on the calls here and waiting for the rest.  Where a call here
+    raises, the pool's running calls, which still write to the buffer, end
+    first.
 
     Raises :class:`WorkerFailure` when a pool process dies; every pool is
     then dropped, so the next solve starts new ones.
     """
+    _, records, header = held
     futures = []
     try:
-        futures = [_get_pool(slot).submit(fn, task) for slot, (fn, task) in enumerate(remote)]
+        futures = [_get_pool(slot).submit(_on_shared, fn, (header, *task))
+                   for slot, task in enumerate(tasks[len(records):])]
         tic = time.perf_counter()
-        results = [fn(*args) for fn, args in local]
+        results = [fn(stages[lo:hi], record, lo, *args)
+                   for (lo, hi, *args), record in zip(tasks, records)]
         mid = time.perf_counter()
         results += [f.result() for f in futures]
     except concurrent.futures.BrokenExecutor as exc:
@@ -351,6 +359,7 @@ def _run_tasks(local, remote):
     finally:
         for f in futures:
             f.cancel()
+        concurrent.futures.wait(futures)
     return results, mid - tic, time.perf_counter() - mid
 
 
@@ -395,8 +404,10 @@ def _sweep_run(stages, record, lo, splits, terminal, tolerances, collect):
 
 
 def _on_shared(fn, task):
-    """``fn(stages, record, lo, *args)`` of a pool run, over its views in
-    the memory file this process inherited (:func:`_publish`).
+    """The pool's call of one phase: ``fn(stages, record, lo, *args)`` of a
+    pool run, over its views in the memory file this process inherited
+    (:func:`_publish`).  ``fn`` is a module-level function, which the
+    executor pickles by reference.
 
     ``task`` is ``((n, m, k, end), lo, hi, *args)``: the file is laid out
     over stages ``[0, end)`` with ``Kz`` ``k`` columns wide, and this run is
@@ -407,29 +418,6 @@ def _on_shared(fn, task):
     record = _views(mmap.mmap(_ARENA, size), layout, StageStack.FIELDS + RECORD, lo, hi)
     stages = StageStack(*(record.pop(field) for field in StageStack.FIELDS))
     return fn(stages, record, lo, *args)
-
-
-def _sweep_shared(task):
-    """:func:`_sweep_run` of a pool run (:func:`_on_shared`)."""
-    return _on_shared(_sweep_run, task)
-
-
-def _finish_shared(task):
-    """:func:`_reconstruct` of a pool run (:func:`_on_shared`)."""
-    return _on_shared(_reconstruct, task)
-
-
-def _dispatch(stages, held, fn, shared_fn, tasks):
-    """:func:`_run_tasks` of one phase over the runs a :func:`_swept`
-    ``held``, given per run ``(lo, hi, *args)``: ``fn(stages[lo:hi], record,
-    lo, *args)`` here for this process's runs, over their records in the
-    buffer, and ``shared_fn((header, lo, hi, *args))`` in the pool for the
-    rest."""
-    _, records, header = held
-    return _run_tasks(
-        [(fn, (stages[lo:hi], record, lo, *args))
-         for (lo, hi, *args), record in zip(tasks, records)],
-        [(shared_fn, (header, *task)) for task in tasks[len(records):]])
 
 
 @contextlib.contextmanager
@@ -446,30 +434,29 @@ def _swept(problem, splits, workers, constrained, terminal, tolerances, collect)
     buffer is this process's memory file (:func:`_arena`), which the
     context holds under its lock and which also holds the pool's stages;
     else, or if the file cannot be made, it is anonymous memory and this
-    process sweeps every run.  Yields the link blocks stacked in segment
-    order, the runs' ``(first, last)`` segments, the processes used, the
-    bytes shared, the ``publish``, ``local_sweep`` and ``wait`` spans in
-    seconds, the record's stacks over the whole horizon (views of the
-    buffer) and the runs for :func:`_dispatch`: per run its ``(first,
-    last)`` segments and its stages ``(lo, hi)``, this process's runs'
-    records and the file's header (else None).
+    process sweeps every run.  Yields ``(seg, record, held, sweep)``: the
+    link blocks stacked in segment order; the record's stacks over the
+    whole horizon, views of the buffer; the runs for :func:`_run_tasks`,
+    their ``(first, last)`` segments, this process's runs' records and the
+    file's header (else None); and the :class:`ParallelDetails` fields of
+    the sweep, ``workers``, ``batches``, ``shared_bytes`` and ``timings``
+    (``publish``, ``local_sweep`` and ``wait``, in seconds).
     """
     J, n, m = len(splits) - 1, problem.n, problem.m
     batches = tuple((int(run[0]), int(run[-1]))
                     for run in np.array_split(np.arange(J), min(workers, J)))
-    runs, tasks = [], []
+    tasks = []
     for first, last in batches:
         free = min(max(first, constrained), last + 1)  # the run's first with a terminal cost
-        runs.append((first, last, splits[first], splits[last + 1]))
         tasks.append((splits[first], splits[last + 1], tuple(splits[first:last + 2]),
                       tuple(x[free - constrained:last + 1 - constrained] for x in terminal),
                       tolerances, collect))
     k, end = n if constrained else 0, splits[-1]
     layout, size = _layout(n, m, k, end)
     shared, header = 0, None
-    with _ARENA_LOCK if len(runs) > 1 else contextlib.nullcontext():
+    with _ARENA_LOCK if len(tasks) > 1 else contextlib.nullcontext():
         tic = time.perf_counter()
-        if len(runs) > 1:
+        if len(tasks) > 1:
             lo = tasks[1][0]
             try:
                 shared, buffer = _publish(problem.stages[lo:end], lo, _arena(), layout, size)
@@ -480,12 +467,13 @@ def _swept(problem, splits, workers, constrained, terminal, tolerances, collect)
             buffer = mmap.mmap(-1, size)
         timings = {"publish": time.perf_counter() - tic}
         local = 1 if header else len(tasks)
-        held = (runs, [_views(buffer, layout, RECORD, lo, hi)
-                       for lo, hi, *_ in tasks[:local]], header)
-        results, timings["local_sweep"], timings["wait"] = _dispatch(
-            problem.stages, held, _sweep_run, _sweep_shared, tasks)
-        yield (_merge(results), batches, len(tasks) if header else 1,
-               shared, timings, _views(buffer, layout, RECORD, 0, end), held)
+        held = (batches, [_views(buffer, layout, RECORD, lo, hi)
+                          for lo, hi, *_ in tasks[:local]], header)
+        results, timings["local_sweep"], timings["wait"] = _run_tasks(
+            problem.stages, held, _sweep_run, tasks)
+        yield _merge(results), _views(buffer, layout, RECORD, 0, end), held, dict(
+            workers=len(tasks) if header else 1, batches=batches, shared_bytes=shared,
+            timings=timings)
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +672,10 @@ def _finish(problem, splits, held, starts, links, seeds):
     KKT row entries.
     """
     J, terminal = len(splits) - 1, (problem.terminal.Qxx, problem.terminal.qx1)
-    tasks = [(lo, hi, splits[first:last + 2], starts[first:last + 1], links[first:last + 1],
-              seeds[first:last + 1], terminal if last == J - 1 else None)
-             for first, last, lo, hi in held[0]]
-    residuals, _, _ = _dispatch(problem.stages, held, _reconstruct, _finish_shared, tasks)
+    tasks = [(splits[first], splits[last + 1], splits[first:last + 2], starts[first:last + 1],
+              links[first:last + 1], seeds[first:last + 1], terminal if last == J - 1 else None)
+             for first, last in held[0]]
+    residuals, _, _ = _run_tasks(problem.stages, held, _reconstruct, tasks)
     return float(np.max(residuals))
 
 
@@ -760,9 +748,8 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
     splits, terminal = partition.split_times, problem.terminal
     x_init, stages = problem.x_init, problem.stages
     with _swept(problem, splits, workers, J - 1, (terminal.Qxx[None], terminal.qx1[None]),
-                tolerances, collect_diagnostics) as (
-            seg, batches, used, shared, timings, record, held):
-        tic = time.perf_counter()
+                tolerances, collect_diagnostics) as (seg, record, held, sweep):
+        timings, tic = sweep["timings"], time.perf_counter()
         links, nus, link_residual, link_rcond = _solve_links(seg, x_init)
         timings["links"], tic = time.perf_counter() - tic, time.perf_counter()
         starts = np.concatenate([x_init[None], links])  # each segment's first state
@@ -795,7 +782,7 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
 
     # the rows the runs left, of each last stage before another run's, and
     # the terminal and initial rows
-    t = np.array([hi - 1 for *_, hi in held[0][:-1]], dtype=int)
+    t = np.array([splits[last + 1] - 1 for _, last in sweep["batches"][:-1]], dtype=int)
     rows = stage_residuals(stages[t], states[t], states[t + 1], controls[t],
                            lambdas[t], lambdas[t + 1])
     residual = float(np.max([residual, np.abs(rows).max(initial=0.0)] + [
@@ -823,11 +810,8 @@ def solve_parallel(problem, J, workers=None, tolerances=DEFAULT_TOLERANCES,
             feasibility_residuals=tuple(float(r) for r in feas_residuals),
             degenerate=any(nu.size for nu in nus),
             segment_diagnostics=seg["diagnostics"],
-            workers=used,
             workers_reason=reason,
-            batches=batches,
-            shared_bytes=shared,
-            timings=timings,
+            **sweep,
         ),
     )
 
@@ -873,7 +857,7 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
     policies = list(result.policies)
     with _swept(problem, splits, workers, 0,
                 (np.stack([t.Qxx for t in terminals]), np.stack([t.qx1 for t in terminals])),
-                tolerances, False) as (_, batches, used, shared, timings, record, _):
+                tolerances, False) as (_, record, _, sweep):
         policies[:splits[-1]] = _feedback_policies(record["Kx"].copy(), record["k1"].copy())
     states, controls = rollout(problem, policies, problem.x_init)
     deviation = max(float(np.abs(states - result.states).max()),
@@ -886,8 +870,7 @@ def smooth(problem, result, workers=None, tolerances=DEFAULT_TOLERANCES):
         objective=evaluate_objective(problem, states, controls),
         kkt_residual_inf=0.0,
         details=dataclasses.replace(
-            details, smooth_deviation=deviation, workers=used, workers_reason=reason,
-            batches=batches, shared_bytes=shared, timings=timings),
+            details, smooth_deviation=deviation, workers_reason=reason, **sweep),
     )
     return dataclasses.replace(
         smoothed, kkt_residual_inf=kkt_residual(problem, smoothed))

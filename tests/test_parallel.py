@@ -53,9 +53,9 @@ def sweep(problem, part, workers=1, collect=False):
     with parallel._swept(
             problem, part.split_times, workers, part.J - 1,
             (terminal.Qxx[None], terminal.qx1[None]), DEFAULT_TOLERANCES, collect) as (
-            seg, batches, used, *_, record, _):
+            seg, record, _, details):
         seg.update((name, record[name].copy()) for name in ("Kx", "k1", "Kz"))
-    return seg, batches, used
+    return seg, details["batches"], details["workers"]
 
 
 def shared_files(pid=None):
@@ -93,9 +93,15 @@ def lets_go_of_memory_files(timeout=10.0):
     return not held_memory_files()
 
 
-def kill_own_process(task):
-    """A pool task that ends its process as a crash would."""
-    os.kill(os.getpid(), signal.SIGKILL)
+RECONSTRUCT = parallel._reconstruct
+
+
+def reconstruct_or_die(*args):
+    """Phase 3 of a run, which ends its process as a crash would where that
+    process is a pool's."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return RECONSTRUCT(*args)
 
 
 def assert_same_solution(got, want):
@@ -503,9 +509,12 @@ class TestLockstep:
     def test_sent_tasks_carry_no_stage_data(self, monkeypatch):
         sent, run_tasks = [], parallel._run_tasks
 
-        def capture(local, remote):
-            sent.append([len(pickle.dumps(task)) for task in remote])
-            return run_tasks(local, remote)
+        def capture(stages, held, fn, tasks):
+            # what the pool gets for each of its runs: _on_shared, fn and the task
+            _, records, header = held
+            sent.append([len(pickle.dumps((parallel._on_shared, fn, (header, *task))))
+                         for task in tasks[len(records):]])
+            return run_tasks(stages, held, fn, tasks)
 
         monkeypatch.setattr(parallel, "_run_tasks", capture)
         short, long = (parallel.solve_parallel(generate(3, 2, T, seed=3), J=8, workers=2)
@@ -571,9 +580,9 @@ class TestPoolSize:
         asked, slots = [], []
 
         class InProcessPool:
-            def submit(self, fn, task):
+            def submit(self, fn, *args):
                 future = concurrent.futures.Future()
-                future.set_result(fn(task))
+                future.set_result(fn(*args))
                 return future
 
         def get_pool(slot):
@@ -696,8 +705,8 @@ class TestSharedStages:
         want = parallel.solve_parallel(problem, J=8, workers=1)
         parallel.shutdown_pools()
         with monkeypatch.context() as patch:
-            # the pool forks with a phase 3 that kills its own process
-            patch.setattr(parallel, "_finish_shared", kill_own_process)
+            # phase 3 kills the pool's process; this process reconstructs its own run
+            patch.setattr(parallel, "_reconstruct", reconstruct_or_die)
             with pytest.raises(WorkerFailure):
                 parallel.solve_parallel(problem, J=8, workers=2)
         assert not parallel._POOLS
@@ -803,12 +812,18 @@ class TestArenaReuse:
         assert arena_size() == large
 
     def test_solve_after_a_failure_in_the_pool(self):
-        # stage 13 lies in the pool's run
-        base = generate(1, 2, 16, seed=3)
-        with pytest.raises(CholeskyFailure) as info:
-            parallel.solve_parallel(with_control_cost(base, 13, -1.0), J=16, workers=2)
-        assert info.value.stage == 13
-        assert_pooled_as_one_process(base, J=16)
+        # stage 13 lies in the pool's run; stage 3 in this process's, which
+        # fails while the pool's run is in flight; so does stage 2047, at
+        # this process's first step, while the pool sweeps 8192 stages whose
+        # gains land where the next solve's pool stages lie, so the file
+        # must wait until they are written
+        small, long = generate(1, 2, 16, seed=3), generate(2, 4, 16384, seed=3)
+        for broken, stage, base, J in ((small, 13, small, 16), (small, 3, small, 16),
+                                       (long, 2047, generate(3, 2, 2048, seed=5), 8)):
+            with pytest.raises(CholeskyFailure) as info:
+                parallel.solve_parallel(with_control_cost(broken, stage, -1.0), J=J, workers=2)
+            assert info.value.stage == stage
+            assert_pooled_as_one_process(base, J=J)
 
     def test_solve_after_shutdown_between_pooled_solves(self):
         assert_pooled_as_one_process(generate(5, 3, 256, seed=5))
